@@ -22,11 +22,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
 
-from .analysis import UnknownBidder, check_monotonicity, compare_gsp, sweep_bid
+from .analysis import check_monotonicity, compare_gsp, sweep_bid
 from .model import AuctionInstance, Bidder
 from .optimizer import SizeLimitExceeded, dp_optimal, fast_optimal, solve
 from .pricing import vcg_prices
@@ -50,10 +51,14 @@ class NamedInstance:
     def name(self, dense_id: int) -> str:
         return self.names[dense_id]
 
+    @cached_property
+    def _dense_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def dense(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._dense_ids[name]
+        except KeyError:
             raise InputError(f"no bidder with id {name!r} in the instance") from None
 
 
@@ -101,6 +106,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
     if not isinstance(rows, list):
         raise InputError(f"{path}: key 'bidders' must be a list")
     names: list[str] = []
+    seen: set[str] = set()
     bidders: list[Bidder] = []
     for entry, row in enumerate(rows):
         where = f"entry {entry}"
@@ -114,11 +120,12 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
         for field in ("bid", "ctr", "cont"):
             if field not in row:
                 raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
-        if name in names:
+        if name in seen:
             raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
         bid, ctr, cont = _check_fields(name, where, row["bid"], row["ctr"], row["cont"])
         bidders.append(Bidder(len(names), bid, ctr, cont))
         names.append(name)
+        seen.add(name)
     if slots_override is not None:
         slots = slots_override
     else:
@@ -142,6 +149,7 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                     f"{path}: CSV header must be exactly id,bid,ctr,cont, got {header!r}"
                 )
             names: list[str] = []
+            seen: set[str] = set()
             bidders: list[Bidder] = []
             for line_no, row in enumerate(reader, start=2):
                 where = f"line {line_no}"
@@ -157,11 +165,12 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                             f"bidder {name!r} ({where}): field {field!r} must be a number, "
                             f"got {row[field]!r}"
                         ) from None
-                if name in names:
+                if name in seen:
                     raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
                 bid, ctr, cont = _check_fields(name, where, fields["bid"], fields["ctr"], fields["cont"])
                 bidders.append(Bidder(len(names), bid, ctr, cont))
                 names.append(name)
+                seen.add(name)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
@@ -243,6 +252,8 @@ def _cmd_price(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     named = load_instance(ns.file, ns.format, None)
+    if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
+        raise InputError(f"bid grid bounds must be finite, got {ns.start} .. {ns.stop}")
     if ns.start < 0.0 or ns.stop < ns.start:
         raise InputError(f"bid grid must satisfy 0 <= from <= to, got {ns.start} .. {ns.stop}")
     if ns.steps < 1:
@@ -400,12 +411,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (InputError, UnknownBidder) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # InputError, UnknownBidder and any other library error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

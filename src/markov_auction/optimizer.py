@@ -7,13 +7,22 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 * ``brute_force_optimal`` enumerates every subset (small instances only),
 * ``dp_optimal`` runs a take/skip recursion down the canonical order,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
-  best ad per step via hull-index range queries — O(n log n + k^2 log^2 n).
+  best ad per step via hull-index range queries.
+
+Each solver first ranks the instance once (``_ranked``): a canonical sort,
+then a prune that keeps the k-skyband, the ads that fewer than ``k`` others
+beat strictly on both ecpm and adjusted ecpm.  An ad beaten ``k`` times has
+a beater outside any slate of ``k`` ads, and swapping it for that beater
+strictly raises the value whenever the ad can be clicked, so no optimal
+slate holds it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappushpop
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -68,6 +77,70 @@ def effective_slots(inst: AuctionInstance, slots: int | None = None) -> int:
     return min(k, inst.n)
 
 
+def _check_brute_size(inst: AuctionInstance, slots: int | None = None) -> None:
+    """Raise ``SizeLimitExceeded`` if ``inst`` is too large for exhaustive search."""
+    requested = inst.slots if slots is None else slots
+    if inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS:
+        raise SizeLimitExceeded(
+            f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
+            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Ranking and k-skyband prune
+# ---------------------------------------------------------------------------
+
+
+def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int]:
+    """Ranks of the ads that fewer than ``m`` others beat strictly on both
+    ecpm and adjusted ecpm; the input is in canonical order.
+
+    Only ads of strictly higher adjusted ecpm can beat an ad, and those all
+    come before it, in earlier groups of equal adjusted ecpm.  A min-heap,
+    padded with ``-inf``, keeps the ``m`` largest ecpms seen so far; its
+    least entry taken when a group starts (``floor``) is the m-th largest
+    ecpm of the earlier groups, so an ad is beaten at least ``m`` times
+    exactly when ``floor`` is above its ecpm.  A dropped ad's ecpm is below
+    every heap entry, where pushing it would change nothing, so only
+    survivors are pushed.
+    """
+    heap = [-math.inf] * m
+    keep: list[int] = []
+    group_adj = None
+    floor = -math.inf
+    for t, e in enumerate(ecpms):
+        adj = e / (1.0 - conts[t])
+        if adj != group_adj:
+            group_adj = adj
+            floor = heap[0]
+        if floor > e:
+            continue
+        keep.append(t)
+        heappushpop(heap, e)
+    return keep
+
+
+def _ranked(
+    inst: AuctionInstance, m: int
+) -> tuple[list[Bidder], list[float], list[float]]:
+    """The ads that can win one of ``m`` slots, in canonical order, with
+    their ecpms and conts.
+
+    The prune is skipped when every ad fits in the slots.
+    """
+    ranked = canonical_order(inst.bidders)
+    ecpms = [b.ecpm for b in ranked]
+    conts = [b.cont for b in ranked]
+    if len(ranked) > m:
+        keep = _skyband(ecpms, conts, m)
+        if len(keep) < len(ranked):
+            ranked = [ranked[t] for t in keep]
+            ecpms = [ecpms[t] for t in keep]
+            conts = [conts[t] for t in keep]
+    return ranked, ecpms, conts
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive reference
 # ---------------------------------------------------------------------------
@@ -82,22 +155,15 @@ def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assi
     Raises:
         SizeLimitExceeded: when n > 22 or the requested slot count > 20.
     """
-    requested = inst.slots if slots is None else slots
-    if inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS:
-        raise SizeLimitExceeded(
-            f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
-            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
-        )
+    _check_brute_size(inst, slots)
     m = effective_slots(inst, slots)
-    ranked = canonical_order(inst.bidders)
-    ecpms = [b.ecpm for b in ranked]
-    conts = [b.cont for b in ranked]
+    ranked, ecpms, conts = _ranked(inst, m)
     ids = [b.id for b in ranked]
     best_eff = 0.0
     best_ids: tuple[int, ...] = ()
     best_combo: tuple[int, ...] = ()
     for r in range(1, m + 1):
-        for combo in combinations(range(inst.n), r):
+        for combo in combinations(range(len(ranked)), r):
             eff = 0.0
             for t in reversed(combo):
                 eff = ecpms[t] + conts[t] * eff
@@ -126,17 +192,17 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
 
         best(i, r) = max(best(i+1, r-1) * q_i + e_i,  best(i+1, r))
 
-    Exact ties prefer "skip", so zero-value ads never pad the slate.
-    Runs in O(n log n + n * slots); the take/skip bits for backtracking
-    cost O(n * slots) memory.
+    Exact ties prefer "skip", so zero-value ads never pad the slate, and
+    the backtrack stops at an ad with ``cont == 0``: nothing below it can
+    be clicked.  The recursion runs over the k-skyband survivors, so the
+    cost is an O(n log n) sort, an O(n log slots) prune, then
+    O(survivors * slots) time and take/skip memory.
     """
     m = effective_slots(inst, slots)
-    n = inst.n
-    if n == 0:
+    if inst.n == 0:
         return Assignment.from_bidders(())
-    ranked = canonical_order(inst.bidders)
-    ecpms = [b.ecpm for b in ranked]
-    conts = [b.cont for b in ranked]
+    ranked, ecpms, conts = _ranked(inst, m)
+    n = len(ranked)
     take = [bytearray(m + 1) for _ in range(n)]
     below = [0.0] * (m + 1)
     for i in range(n - 1, -1, -1):
@@ -159,6 +225,8 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
         if r and take[i][r]:
             chosen.append(ranked[i])
             r -= 1
+            if conts[i] == 0.0:
+                break
     return Assignment.from_bidders(chosen)
 
 
@@ -201,8 +269,10 @@ def _best_insert(
     yields value  eff_prefix[g] + cont_prefix[g] * (e_x + q_x * eff_suffix[g]),
     linear in (q_x, e_x) — one hull query per gap.  Returns
     ``(new_value, position, current_value)``; ties go to the lowest
-    position.  A gap whose prefix continuation mass is exactly 0 scores
-    every candidate alike, so it is answered without a query.
+    position.  No user reaches a gap whose prefix continuation mass is
+    exactly 0, so an ad placed there leaves the slate at its current value;
+    the gap is scored that way without a query and never beats keeping the
+    slate as it is.
     """
     n = index.n
     i = len(chosen)
@@ -216,7 +286,7 @@ def _best_insert(
             continue
         ce = cont_prefix[g]
         if ce == 0.0:
-            val, pos = eff_prefix[g], lo
+            val, pos = eff_suffix[0], lo
         else:
             pos, lin = index.query_max(LinearQuery(ce, ce * eff_suffix[g], lo, hi))
             val = eff_prefix[g] + lin
@@ -230,16 +300,17 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
 
     Every optimal slate for ``i`` slots extends to one for ``i + 1`` slots,
     so the chain member for step ``i + 1`` is found by trying each rank gap
-    of the current slate with a hull-index query.  Total cost
-    O(n log n + slots^2 log^2 n).
+    of the current slate with a hull-index query.  The index is built over
+    the k-skyband survivors only, so after the O(n log n) sort and the
+    O(n log slots) prune the cost is O(s log s + slots^2 log^2 s) for ``s``
+    survivors.  When no ad is beaten ``slots`` times (an all-skyline
+    input) ``s = n`` and the prune removes nothing.
     """
     m = effective_slots(inst, slots)
     if inst.n == 0:
         return OptChain(())
-    ranked = canonical_order(inst.bidders)
-    ecpms = [b.ecpm for b in ranked]
-    conts = [b.cont for b in ranked]
-    index = build((b.cont, b.ecpm) for b in ranked)
+    ranked, ecpms, conts = _ranked(inst, m)
+    index = build(zip(conts, ecpms))
     chosen: list[int] = []
     chain: list[Assignment] = []
     for _ in range(m):

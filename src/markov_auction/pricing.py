@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Assignment, AuctionInstance
-from .optimizer import solve
+from .optimizer import _check_brute_size, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -63,23 +63,33 @@ def vcg_prices(
         payment_i = value(best slate without i) - (value(winning slate) - v_i)
 
     One solver run for the slate plus one per winner — at most
-    ``slots + 1`` invocations.
+    ``slots + 1`` invocations.  The instance is first pruned once to its
+    (slots + 1)-skyband: an ad that ``slots + 1`` others beat on both ecpm
+    and adjusted ecpm is still beaten ``slots`` times once any one winner
+    is removed, so it wins no slot in any of the runs.  Every run then
+    works on the survivors only.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
-            cannot happen while ctr > 0 is enforced and the solvers drop
-            zero-marginal ads (defensive).
+            cannot happen while ctr > 0 is enforced and the solvers stop
+            at an ad with zero continuation (defensive).
+        SizeLimitExceeded: for ``solver="brute"`` on an instance too large
+            for exhaustive search, judged before the prune.
     """
-    slate = solve(inst, slots, solver)
+    if solver == "brute":
+        _check_brute_size(inst, slots)
+    survivors, _, _ = _ranked(inst, effective_slots(inst, slots) + 1)
+    pool = AuctionInstance(tuple(survivors), inst.slots)
+    slate = solve(pool, slots, solver)
     winners: list[WinnerPrice] = []
     for rank, bidder_id in enumerate(slate.order):
         click = slate.click_probs[rank]
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
-        value = click * inst.bidder(bidder_id).bid
+        value = click * pool.bidder(bidder_id).bid
         others_alongside = slate.efficiency - value
         rest = AuctionInstance(
-            tuple(b for b in inst.bidders if b.id != bidder_id), inst.slots
+            tuple(b for b in pool.bidders if b.id != bidder_id), inst.slots
         )
         others_alone = solve(rest, slots, solver).efficiency
         payment = others_alone - others_alongside

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from markov_auction import Bidder, evaluate
+from markov_auction import Bidder, DegenerateClickProb, evaluate
+from markov_auction import cli
 from markov_auction.cli import SEED_ENV_VAR, load_instance, main
 
 PAGE_DOC = {
@@ -98,6 +99,19 @@ class TestPrice:
         assert second["expected_payment"] == pytest.approx(0.65, abs=1e-9)
         assert second["utility"] == pytest.approx(1.5 - 0.65, abs=1e-9)
 
+    def test_winner_above_zero_continuation(self, capsys, tmp_path):
+        doc = {"slots": 3, "bidders": [
+            {"id": "stop", "bid": 4.0, "ctr": 1.0, "cont": 0.0},
+            {"id": "below", "bid": 2.0, "ctr": 0.5, "cont": 0.5},
+        ]}
+        path = tmp_path / "stop.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "price", str(path))
+        assert code == 0 and err == ""
+        slate, price = records(out)
+        assert slate["order"] == ["stop"] and slate["click_probs"] == [1.0]
+        assert price["bidder"] == "stop" and price["expected_payment"] == 1.0
+
 
 class TestSweep:
     def test_points_and_verdict(self, capsys, page_file):
@@ -122,6 +136,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", page_file, "--bidder", "a",
                            "--from", "5", "--to", "1")
         assert code == 2 and "0 <= from <= to" in err
+
+    @pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "inf")], ids=["nan-from", "inf-to"])
+    def test_non_finite_grid_exits_2(self, capsys, page_file, bounds):
+        code, out, err = run(capsys, "sweep", page_file, "--bidder", "a",
+                             "--from", bounds[0], "--to", bounds[1])
+        assert code == 2 and out == "" and "must be finite" in err
 
 
 class TestCompare:
@@ -245,6 +265,28 @@ class TestSizeLimit:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "assign", str(path), "--solver", "brute")
         assert code == 3 and out == "" and "error:" in err
+
+    def test_price_brute_guard_exits_3(self, capsys, tmp_path):
+        # Pricing prunes before it solves; the guard still sees all 30.
+        doc = {"slots": 2, "bidders": [
+            {"id": f"b{i}", "bid": 1.0 + i, "ctr": 0.5, "cont": 0.5}
+            for i in range(30)
+        ]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "price", str(path), "--solver", "brute")
+        assert code == 3 and out == "" and "error:" in err
+
+
+class TestLibraryErrors:
+    def test_value_error_exits_2(self, capsys, monkeypatch, page_file):
+        def fail(*args, **kwargs):
+            raise DegenerateClickProb("winner 0 has zero click probability")
+
+        monkeypatch.setattr(cli, "vcg_prices", fail)
+        code, out, err = run(capsys, "price", page_file)
+        assert code == 2 and out == ""
+        assert err == "error: winner 0 has zero click probability\n"
 
 
 class TestDeterminism:

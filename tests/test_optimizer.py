@@ -15,6 +15,7 @@ from markov_auction import (
     canonical_order,
     dp_optimal,
     effective_slots,
+    evaluate,
     fast_optimal,
     marginal_best_insert,
     solve,
@@ -118,6 +119,31 @@ class TestDegenerateInstances:
         assert dp_optimal(twins).order == (2,)
         assert brute_force_optimal(twins).order == (1,)
         assert dp_optimal(twins).efficiency == brute_force_optimal(twins).efficiency
+
+    @pytest.mark.parametrize("method", ALL_SOLVERS)
+    @pytest.mark.parametrize(
+        "rows, slots, expected",
+        [
+            # Nobody scans past bidder 0, so bidder 1 could never be
+            # clicked below it.
+            (((0, 4.0, 1.0, 0.0), (1, 2.0, 0.5, 0.5)), 3, (0,)),
+            # Same below bidder 2; here fast's gap tables used to round the
+            # unreachable insertion of bidder 4 one ulp above the slate value.
+            (
+                ((0, 0.5, 0.1, 0.6), (1, 0.5, 0.1, 0.9), (2, 0.1, 0.4, 0.0),
+                 (3, 0.2, 0.3, 0.8), (4, 0.2, 0.1, 0.0)),
+                5,
+                (1, 3, 0, 2),
+            ),
+        ],
+        ids=["dp-repro", "fast-rounding"],
+    )
+    def test_nothing_after_zero_continuation(self, method, rows, slots, expected):
+        inst = AuctionInstance(tuple(Bidder(*row) for row in rows), slots)
+        slate = solve(inst, method=method)
+        assert slate.order == expected
+        assert all(p > 0.0 for p in slate.click_probs)
+        assert slate.efficiency == evaluate([inst.bidder(i) for i in expected])[0]
 
     @pytest.mark.parametrize("method", ALL_SOLVERS)
     def test_no_bidders(self, method):

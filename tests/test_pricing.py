@@ -101,5 +101,13 @@ class TestStructuralProperties:
             for report in np.linspace(0.0, 2.0 * bidder.bid, 25):
                 assert misreport_utility(inst, bidder.id, float(report)) <= truthful + 1e-9
 
+    @pytest.mark.parametrize("solver", ("brute", "dp", "fast"))
+    def test_winner_above_zero_continuation_is_priced(self, solver):
+        inst = AuctionInstance((Bidder(0, 4.0, 1.0, 0.0), Bidder(1, 2.0, 0.5, 0.5)), 3)
+        slate, schedule = vcg_prices(inst, solver=solver)
+        assert slate.order == (0,)
+        (only,) = schedule.winners
+        assert only.expected_payment == 1.0 and only.per_click_price == 1.0
+
     def test_degenerate_click_prob_error_exists(self):
         assert issubclass(DegenerateClickProb, ValueError)
