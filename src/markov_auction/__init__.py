@@ -2,9 +2,9 @@
 
 The user scans a slate top-down, clicking and continuing with per-ad
 probabilities.  This package ranks ads by adjusted ecpm, solves for the
-revenue-optimal slate (exhaustively, by dynamic programming, or in
-near-linear time with a dyadic hull index), prices the winners with VCG,
-and ships diagnostics plus a small CLI.
+revenue-optimal slate (exhaustively, by dynamic programming, or by
+growing nested slates one best insertion at a time), prices the winners
+with VCG, and ships diagnostics plus a small CLI.
 """
 
 from .analysis import (

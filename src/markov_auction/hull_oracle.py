@@ -9,7 +9,8 @@ indices are tiled by dyadic blocks (every range splits into O(log n) whole
 blocks), each block stores the upper-right convex hull of its points, and a
 binary search over a hull finds the best vertex for the query direction.
 All arithmetic is plain float64; a query returns exactly the same value a
-direct scan with the same expression would.
+direct scan with the same expression would.  On exact ties it need not
+return the scan's (lowest) index; ``HullIndex.query_max`` says when.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ def _arc(pts: list[_Vertex]) -> tuple[_Vertex, ...]:
 
     Keeps exactly the vertices that can maximize a linear objective with
     positive e-coefficient and non-negative q-coefficient: the convex-hull
-    arc from the highest-e vertex to the highest-q vertex.  Identical
-    points collapse to their lowest original index; interior collinear
-    points are dropped.
+    arc from the highest-e vertex to the highest-q vertex.  Points of equal
+    q collapse to the highest e (identical points to their lowest original
+    index); interior collinear points are dropped.
     """
     # Collapse equal q: only the highest e (lowest index on exact ties) can win.
     merged: list[_Vertex] = []
@@ -147,7 +148,14 @@ class HullIndex:
     def query_max(self, query: LinearQuery) -> tuple[int, float]:
         """Best point index and objective value in the query's range.
 
-        Exact-equality ties go to the lowest index.
+        The value is exactly a direct scan's.  On an exact tie the index is
+        one of the tied points, but not always the lowest: a block keeps
+        one point per cont value, the one of highest ecpm (the lowest index
+        only among identical points), and drops points inside a hull edge.
+        So a lower index whose score only rounds to the maximum, such as
+        ecpm 3.3949999999999996 against 3.395 at equal cont under
+        ``coeff_e = 0.610569418009508``, or one inside a flat top edge,
+        can lose to another maximiser.
 
         Raises:
             EmptyRange: if the range is empty.

@@ -1,4 +1,4 @@
-"""Exact slate optimizers: exhaustive, dynamic-programming, and near-linear.
+"""Exact slate optimizers: exhaustive, dynamic-programming, and incremental.
 
 All three maximize the expected revenue of a slate of at most ``j`` ads
 drawn from an auction instance.  Because any chosen set extracts its best
@@ -7,7 +7,10 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 * ``brute_force_optimal`` enumerates every subset (small instances only),
 * ``dp_optimal`` runs a take/skip recursion down the canonical order,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
-  best ad per step via hull-index range queries.
+  best ad per step with one vectorised scan of every gap of the slate.
+
+``marginal_best_insert`` takes one such step with hull-index range queries
+instead, and the tests grow the chain both ways.
 
 Each solver first ranks the instance once (``_ranked``): a canonical sort,
 then a prune that keeps the k-skyband, the ads that fewer than ``k`` others
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from heapq import heappushpop
 from itertools import combinations
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .hull_oracle import HullIndex, LinearQuery, build
 from .model import Assignment, AuctionInstance, Bidder, canonical_order, evaluate
@@ -268,8 +273,8 @@ def _best_insert(
     Inserting candidate ``x`` into the gap after the first ``g`` members
     yields value  eff_prefix[g] + cont_prefix[g] * (e_x + q_x * eff_suffix[g]),
     linear in (q_x, e_x) — one hull query per gap.  Returns
-    ``(new_value, position, current_value)``; ties go to the lowest
-    position.  No user reaches a gap whose prefix continuation mass is
+    ``(new_value, position, current_value)``; ties between gaps go to the
+    earliest gap.  No user reaches a gap whose prefix continuation mass is
     exactly 0, so an ad placed there leaves the slate at its current value;
     the gap is scored that way without a query and never beats keeping the
     slate as it is.
@@ -299,25 +304,47 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     """Chain of nested optimal slates, grown one best insertion at a time.
 
     Every optimal slate for ``i`` slots extends to one for ``i + 1`` slots,
-    so the chain member for step ``i + 1`` is found by trying each rank gap
-    of the current slate with a hull-index query.  The index is built over
-    the k-skyband survivors only, so after the O(n log n) sort and the
-    O(n log slots) prune the cost is O(s log s + slots^2 log^2 s) for ``s``
-    survivors.  When no ad is beaten ``slots`` times (an all-skyline
-    input) ``s = n`` and the prune removes nothing.
+    so the chain member for step ``i + 1`` is the best single insertion
+    into the current slate.  Each step scores every unchosen survivor in
+    the gap of the slate it falls into with one vectorised pass, the same
+    float expression ``_best_insert`` evaluates, and keeps the earliest gap
+    holding the best value, then the lowest rank of that gap holding its
+    best linear term.  Adding the gap's prefix value can round away an ulp
+    between ranks of one gap, so the rank is not taken from the summed
+    scores.  After the O(n log n) sort and the O(n log slots) prune the
+    cost is O(slots * s) numpy work and O(slots^2) Python for ``s``
+    survivors.
     """
     m = effective_slots(inst, slots)
     if inst.n == 0:
         return OptChain(())
     ranked, ecpms, conts = _ranked(inst, m)
-    index = build(zip(conts, ecpms))
+    e = np.array(ecpms)
+    q = np.array(conts)
+    # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
+    gap = np.zeros(len(ranked), dtype=np.intp)
     chosen: list[int] = []
     chain: list[Assignment] = []
     for _ in range(m):
-        new_val, pos, current = _best_insert(chosen, ecpms, conts, index)
-        if new_val <= current:
+        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpms, conts)
+        current = eff_suffix[0]
+        ce = np.array(cont_prefix)
+        cq = np.array([c * v for c, v in zip(cont_prefix, eff_suffix)])
+        # A gap no user reaches has ce == cq == 0, so its ranks score
+        # exactly the slate's current value.
+        base = np.array([p if c != 0.0 else current for c, p in zip(cont_prefix, eff_prefix)])
+        lin = ce[gap] * e + cq[gap] * q
+        score = base[gap] + lin
+        score[chosen] = -np.inf
+        best = int(np.argmax(score))
+        if score[best] <= current:
             break
+        g = int(gap[best])
+        lo = chosen[g - 1] + 1 if g > 0 else 0
+        hi = chosen[g] if g < len(chosen) else len(ranked)
+        pos = lo + int(np.argmax(lin[lo:hi]))
         insort(chosen, pos)
+        gap[pos + 1 :] += 1
         chain.append(Assignment.from_bidders([ranked[p] for p in chosen]))
     return OptChain(tuple(chain))
 
@@ -330,8 +357,9 @@ def marginal_best_insert(
     """The single ad whose insertion into ``slate`` gains the most value.
 
     The slate's members must come from ``inst``; candidates are everyone
-    else.  Returns ``(bidder_id, new_efficiency)``; ties resolve to the
-    earliest canonical rank, matching the hull index's lowest-index rule.
+    else.  Returns ``(bidder_id, new_efficiency)``.  Ties between gaps go
+    to the earliest gap; within a gap the hull index returns a maximiser,
+    usually the earliest canonical rank (see ``HullIndex.query_max``).
 
     Raises:
         NoCandidate: if the slate already contains every bidder.

@@ -224,8 +224,8 @@ def test_09_performance():
     assert gate < 5.0
     assert chain.final.efficiency > 0.0
 
-    half, _ = best_of(50_000, 16)
-    full, _ = best_of(100_000, 16)
+    half, _ = best_of(50_000, 16, reps=5)
+    full, _ = best_of(100_000, 16, reps=5)
     assert 1.0 < full / half < 3.0
 
     base, _ = best_of(20_000, 1)

@@ -109,6 +109,16 @@ class TestHullPruning:
         assert hx.query_max(LinearQuery(1.0, 0.0, 0, 1)) == (0, 5.0)
         assert hx.query_max(LinearQuery(1.0, 1.0, 0, 1))[0] == 1
 
+    def test_equal_cont_scores_that_round_equal_keep_the_scan_value(self):
+        # The ecpms differ (3.3949999999999996 and 3.395) but score the same
+        # float; the block keeps only the higher ecpm, index 1, where a scan
+        # returns index 0.  The value still matches the scan.
+        pts = [(0.81, 4.85 * 0.7), (0.81, 3.5 * 0.97)]
+        query = LinearQuery(0.610569418009508, 0.0, 0, 1)
+        idx, val = build(pts).query_max(query)
+        assert scan_max(pts, query) == (0, 2.0728831741422797)
+        assert (idx, val) == (1, 2.0728831741422797)
+
     def test_storage_stays_n_log_n(self):
         rng = np.random.default_rng(1)
         n = 4096

@@ -200,6 +200,65 @@ class TestChain:
                     dp_optimal(inst, i).efficiency, abs=1e-9
                 )
 
+    def test_each_step_matches_the_hull_insertion(self, make_random_instance):
+        # The chain grown by repeated hull-index insertions, on continuous
+        # inputs: exact ties between distinct ads cannot occur there, and
+        # on ties the hull may pick another maximiser than the scan.
+        rng = np.random.default_rng(105)
+        for _ in range(40):
+            inst = make_random_instance(rng, max_n=300, max_slots=20)
+            index = build([(b.cont, b.ecpm) for b in canonical_order(inst.bidders)])
+            chain = fast_optimal(inst).solutions
+            assert len(chain) == min(inst.n, inst.slots)
+            members = []
+            for step in chain:
+                slate = Assignment.from_bidders(canonical_order(members))
+                bidder_id, eff = marginal_best_insert(inst, slate, index)
+                members.append(inst.bidder(bidder_id))
+                assert step.order == tuple(b.id for b in canonical_order(members))
+                assert step.efficiency == eff
+
+    def test_all_skyline_matches_dp(self):
+        # ecpm falls and adjusted ecpm rises with cont, so no ad beats
+        # another on both scores and the prune keeps all 2000.
+        rng = np.random.default_rng(106)
+        conts = rng.uniform(0.0, 0.99, 2000)
+        inst = AuctionInstance(
+            tuple(Bidder(i, 1.01 - float(c) ** 2, 1.0, float(c)) for i, c in enumerate(conts)), 30
+        )
+        fast, dp = fast_optimal(inst).final, dp_optimal(inst)
+        assert fast.order == dp.order
+        assert fast.efficiency == dp.efficiency
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # Below bidder 0, bidders 2 and 3 score the same float, though
+            # their ecpms (3.3949999999999996 and 3.395) differ; the step
+            # keeps the lower rank, 2.  The hull index collapses points of
+            # equal cont to the higher ecpm and picked 3; dp picks 3 too.
+            (
+                ((0, 100.0, 1.0, 0.610569418009508), (1, 0.2, 1.0, 0.99),
+                 (2, 4.85, 0.7, 0.81), (3, 3.5, 0.97, 0.81)),
+                (0, 2),
+            ),
+            # Bidder 3's gap score is one ulp above bidder 2's, and adding
+            # bidder 0's value rounds both sums to 6.24995; the step keeps
+            # 3, the better gap score, as the hull index did.
+            (
+                ((0, 3.5, 1.0, 0.81), (1, 0.0, 0.25, 0.81), (2, 4.85, 0.7, 0.81),
+                 (3, 3.5, 0.97, 0.75), (4, 0.0, 0.5, 0.81), (5, 3.5, 0.5, 0.81)),
+                (0, 3),
+            ),
+        ],
+        ids=["equal-cont-twins", "prefix-rounding"],
+    )
+    def test_near_twins(self, rows, expected):
+        inst = AuctionInstance(tuple(Bidder(*row) for row in rows), 2)
+        slate = fast_optimal(inst).final
+        assert slate.order == expected
+        assert slate.efficiency == dp_optimal(inst).efficiency
+
     def test_values_never_decrease_along_the_chain(self, make_random_instance):
         rng = np.random.default_rng(103)
         for _ in range(100):
