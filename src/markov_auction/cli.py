@@ -28,7 +28,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .analysis import check_monotonicity, compare_gsp, sweep_bid
-from .model import AuctionInstance, Bidder
+from .model import Assignment, AuctionInstance, Bidder
 from .optimizer import SizeLimitExceeded, dp_optimal, fast_optimal, solve
 from .pricing import vcg_prices
 
@@ -207,35 +207,29 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _cmd_assign(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, ns.slots)
-    slate = solve(named.instance, method=ns.solver)
+def _emit_assignment(named: NamedInstance, solver: str, slate: Assignment) -> None:
     _emit(
         {
             "type": "assignment",
-            "solver": ns.solver,
+            "solver": solver,
             "slots": named.instance.slots,
             "order": [named.name(i) for i in slate.order],
             "efficiency": slate.efficiency,
             "click_probs": list(slate.click_probs),
         }
     )
+
+
+def _cmd_assign(ns: argparse.Namespace) -> int:
+    named = load_instance(ns.file, ns.format, ns.slots)
+    _emit_assignment(named, ns.solver, solve(named.instance, method=ns.solver))
     return 0
 
 
 def _cmd_price(ns: argparse.Namespace) -> int:
     named = load_instance(ns.file, ns.format, ns.slots)
     slate, schedule = vcg_prices(named.instance, solver=ns.solver)
-    _emit(
-        {
-            "type": "assignment",
-            "solver": ns.solver,
-            "slots": named.instance.slots,
-            "order": [named.name(i) for i in slate.order],
-            "efficiency": slate.efficiency,
-            "click_probs": list(slate.click_probs),
-        }
-    )
+    _emit_assignment(named, ns.solver, slate)
     for w in schedule.winners:
         _emit(
             {

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "DuplicateBidder",
     "Bidder",
@@ -173,13 +175,46 @@ def evaluate(order: Sequence[Bidder]) -> tuple[float, float]:
     return eff, cont
 
 
+def canonical_ranks(bidders: Sequence[Bidder]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of ``bidders`` in canonical order, with their ecpms and
+    conts in that order, as float64 arrays.
+
+    Canonical order is decreasing adjusted ecpm, ties by ascending id.
+    The scores are computed with the same float operations as
+    ``Bidder.ecpm`` and ``Bidder.adjusted_ecpm``, so they are bit-identical
+    to them.  One index sort orders the ads; each run of equal adjusted
+    ecpm is then put in id order in Python, so the sort itself need not be
+    stable and only tied runs pay for the ids (which are unbounded Python
+    ints, never a numpy array).
+    """
+    n = len(bidders)
+    bid = np.fromiter((b.bid for b in bidders), float, n)
+    ctr = np.fromiter((b.ctr for b in bidders), float, n)
+    cont = np.fromiter((b.cont for b in bidders), float, n)
+    ecpm = ctr * bid
+    adj = ecpm / (1.0 - cont)
+    order = np.argsort(-adj)
+    ranked_adj = adj[order]
+    tied = np.flatnonzero(ranked_adj[1:] == ranked_adj[:-1])
+    if tied.size:
+        # Ties at t and t + 1 join ranks t .. t + 1; consecutive ties form one run.
+        breaks = np.flatnonzero(np.diff(tied) != 1)
+        starts = np.concatenate((tied[:1], tied[breaks + 1]))
+        ends = np.concatenate((tied[breaks], tied[-1:])) + 2
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: bidders[i].id)
+    return order, ecpm[order], cont[order]
+
+
 def canonical_order(bidders: Iterable[Bidder]) -> list[Bidder]:
     """Bidders sorted by decreasing adjusted ecpm, ties by ascending id.
 
     Any set of ads extracts its maximum expected revenue in this order, so
     every solver works on slates arranged this way.
     """
-    return sorted(bidders, key=lambda b: (-b.adjusted_ecpm, b.id))
+    bidders = tuple(bidders)
+    order, _, _ = canonical_ranks(bidders)
+    return [bidders[i] for i in order.tolist()]
 
 
 def click_probabilities(order: Sequence[Bidder]) -> tuple[float, ...]:

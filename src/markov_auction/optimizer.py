@@ -12,12 +12,15 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
 
-Each solver first ranks the instance once (``_ranked``): a canonical sort,
-then a prune that keeps the k-skyband, the ads that fewer than ``k`` others
-beat strictly on both ecpm and adjusted ecpm.  An ad beaten ``k`` times has
-a beater outside any slate of ``k`` ads, and swapping it for that beater
-strictly raises the value whenever the ad can be clicked, so no optimal
-slate holds it.
+Each solver first ranks the instance once (``_ranked``): one numpy index
+sort into canonical order, then a prune that keeps the k-skyband, the ads
+that fewer than ``k`` others beat strictly on both ecpm and adjusted ecpm.
+An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
+swapping it for that beater strictly raises the value whenever the ad can
+be clicked, so no optimal slate holds it.  The result, the ranked form, is
+the survivors in canonical order with their ecpms and conts; each public
+solver is a thin wrapper that runs its body on it, and VCG pricing re-runs
+the bodies on it (``_resolve``) without building or sorting an instance.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hull_oracle import HullIndex, LinearQuery, build
-from .model import Assignment, AuctionInstance, Bidder, canonical_order, evaluate
+from .model import Assignment, AuctionInstance, Bidder, canonical_order, canonical_ranks, evaluate
 
 __all__ = [
     "SizeLimitExceeded",
@@ -99,7 +102,8 @@ def _check_brute_size(inst: AuctionInstance, slots: int | None = None) -> None:
 
 def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int]:
     """Ranks of the ads that fewer than ``m`` others beat strictly on both
-    ecpm and adjusted ecpm; the input is in canonical order.
+    ecpm and adjusted ecpm; the input is in canonical order, as lists or
+    float64 arrays.
 
     Only ads of strictly higher adjusted ecpm can beat an ad, and those all
     come before it, in earlier groups of equal adjusted ecpm.  A min-heap,
@@ -109,13 +113,38 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     exactly when ``floor`` is above its ecpm.  A dropped ad's ecpm is below
     every heap entry, where pushing it would change nothing, so only
     survivors are pushed.
+
+    Before that loop, a vectorised bound drops most of the losers.  At
+    doubling checkpoints from ``4 * m``, the m-th largest ecpm before the
+    checkpoint's group is a lower bound on the floor of every ad from the
+    checkpoint to the next one, and those below it are dropped.  The loop
+    would drop them too, and they never enter the heap, so the loop over
+    the rest keeps exactly the same ranks.  Below ``4 * m`` ads there is no
+    checkpoint and the loop sees every ad.
     """
+    n = len(ecpms)
+    checkpoint = 4 * m
+    if checkpoint >= n:
+        scored = zip(range(n), ecpms, [e / (1.0 - q) for e, q in zip(ecpms, conts)])
+    else:
+        ecpms = np.asarray(ecpms, dtype=float)
+        adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
+        falling = -adjs
+        candidate = np.ones(n, dtype=bool)
+        while checkpoint < n:
+            start = int(np.searchsorted(falling, falling[checkpoint], side="left"))
+            if start >= m:
+                bound = np.partition(ecpms[:start], start - m)[start - m]
+                block = slice(checkpoint, 2 * checkpoint)
+                candidate[block] = ecpms[block] >= bound
+            checkpoint *= 2
+        ranks = np.flatnonzero(candidate)
+        scored = zip(ranks.tolist(), ecpms[ranks].tolist(), adjs[ranks].tolist())
     heap = [-math.inf] * m
     keep: list[int] = []
     group_adj = None
     floor = -math.inf
-    for t, e in enumerate(ecpms):
-        adj = e / (1.0 - conts[t])
+    for t, e, adj in scored:
         if adj != group_adj:
             group_adj = adj
             floor = heap[0]
@@ -126,24 +155,23 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     return keep
 
 
-def _ranked(
-    inst: AuctionInstance, m: int
-) -> tuple[list[Bidder], list[float], list[float]]:
-    """The ads that can win one of ``m`` slots, in canonical order, with
-    their ecpms and conts.
+def _ranked(inst: AuctionInstance, m: int) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
+    """The ranked form of an instance for ``m`` slots: the ads that can win
+    one of them, in canonical order, with their ecpms and conts as float64
+    arrays.
 
-    The prune is skipped when every ad fits in the slots.
+    One numpy index sort ranks the instance (``canonical_ranks``); the
+    k-skyband prune then keeps the survivors, and is skipped when every ad
+    fits in the slots.  Every solver body works on this form: ``fast`` on
+    the arrays, ``dp`` and ``brute`` on them as lists.
     """
-    ranked = canonical_order(inst.bidders)
-    ecpms = [b.ecpm for b in ranked]
-    conts = [b.cont for b in ranked]
-    if len(ranked) > m:
+    order, ecpms, conts = canonical_ranks(inst.bidders)
+    if len(order) > m:
         keep = _skyband(ecpms, conts, m)
-        if len(keep) < len(ranked):
-            ranked = [ranked[t] for t in keep]
-            ecpms = [ecpms[t] for t in keep]
-            conts = [conts[t] for t in keep]
-    return ranked, ecpms, conts
+        if len(keep) < len(order):
+            order, ecpms, conts = order[keep], ecpms[keep], conts[keep]
+    bidders = inst.bidders
+    return [bidders[i] for i in order.tolist()], ecpms, conts
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +191,10 @@ def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assi
     _check_brute_size(inst, slots)
     m = effective_slots(inst, slots)
     ranked, ecpms, conts = _ranked(inst, m)
+    return _brute(ranked, ecpms.tolist(), conts.tolist(), m)
+
+
+def _brute(ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int) -> Assignment:
     ids = [b.id for b in ranked]
     best_eff = 0.0
     best_ids: tuple[int, ...] = ()
@@ -200,13 +232,16 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     Exact ties prefer "skip", so zero-value ads never pad the slate, and
     the backtrack stops at an ad with ``cont == 0``: nothing below it can
     be clicked.  The recursion runs over the k-skyband survivors, so the
-    cost is an O(n log n) sort, an O(n log slots) prune, then
+    cost is an O(n log n) numpy sort, an O(n) prune bound plus an
+    O(c log slots) exact prune over the ``c`` ads the bound keeps, then
     O(survivors * slots) time and take/skip memory.
     """
     m = effective_slots(inst, slots)
-    if inst.n == 0:
-        return Assignment.from_bidders(())
     ranked, ecpms, conts = _ranked(inst, m)
+    return _dp(ranked, ecpms.tolist(), conts.tolist(), m)
+
+
+def _dp(ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int) -> Assignment:
     n = len(ranked)
     take = [bytearray(m + 1) for _ in range(n)]
     below = [0.0] * (m + 1)
@@ -241,24 +276,24 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
 
 
 def _prefix_tables(
-    chosen: Sequence[int], ecpms: Sequence[float], conts: Sequence[float]
+    ecpms: Sequence[float], conts: Sequence[float]
 ) -> tuple[list[float], list[float], list[float]]:
-    """Running slate tables for the current members (sorted positions).
+    """Running slate tables for the current members, given their ecpms and
+    conts in slate order.
 
     Returns ``(cont_prefix, eff_prefix, eff_suffix)`` where entry ``p`` of
     the prefixes covers the first ``p`` members and ``eff_suffix[p]`` is
     the value of the members from rank ``p`` down.
     """
-    i = len(chosen)
+    i = len(ecpms)
     cont_prefix = [1.0] * (i + 1)
     eff_prefix = [0.0] * (i + 1)
-    for t, p in enumerate(chosen):
-        eff_prefix[t + 1] = eff_prefix[t] + cont_prefix[t] * ecpms[p]
-        cont_prefix[t + 1] = cont_prefix[t] * conts[p]
+    for t in range(i):
+        eff_prefix[t + 1] = eff_prefix[t] + cont_prefix[t] * ecpms[t]
+        cont_prefix[t + 1] = cont_prefix[t] * conts[t]
     eff_suffix = [0.0] * (i + 1)
     for t in range(i - 1, -1, -1):
-        p = chosen[t]
-        eff_suffix[t] = ecpms[p] + conts[p] * eff_suffix[t + 1]
+        eff_suffix[t] = ecpms[t] + conts[t] * eff_suffix[t + 1]
     return cont_prefix, eff_prefix, eff_suffix
 
 
@@ -281,7 +316,9 @@ def _best_insert(
     """
     n = index.n
     i = len(chosen)
-    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpms, conts)
+    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(
+        [ecpms[p] for p in chosen], [conts[p] for p in chosen]
+    )
     best_val = -float("inf")
     best_pos = -1
     for g in range(i + 1):
@@ -311,29 +348,34 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     holding the best value, then the lowest rank of that gap holding its
     best linear term.  Adding the gap's prefix value can round away an ulp
     between ranks of one gap, so the rank is not taken from the summed
-    scores.  After the O(n log n) sort and the O(n log slots) prune the
-    cost is O(slots * s) numpy work and O(slots^2) Python for ``s``
-    survivors.
+    scores.  The chain stops when that rank gains nothing over the gap's
+    current term, judged without the prefix value, which can round the
+    summed score above the slate's value.  After the O(n log n) numpy sort
+    and the prune the cost is O(slots * s) numpy work and O(slots^2)
+    Python for ``s`` survivors.
     """
     m = effective_slots(inst, slots)
-    if inst.n == 0:
-        return OptChain(())
-    ranked, ecpms, conts = _ranked(inst, m)
-    e = np.array(ecpms)
-    q = np.array(conts)
+    return _fast(*_ranked(inst, m), m)
+
+
+def _fast(ranked: Sequence[Bidder], ecpms: Sequence[float], conts: Sequence[float], m: int) -> OptChain:
+    ecpms = np.asarray(ecpms, dtype=float)
+    conts = np.asarray(conts, dtype=float)
     # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
     gap = np.zeros(len(ranked), dtype=np.intp)
     chosen: list[int] = []
+    member_ecpms: list[float] = []
+    member_conts: list[float] = []
     chain: list[Assignment] = []
     for _ in range(m):
-        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpms, conts)
+        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(member_ecpms, member_conts)
         current = eff_suffix[0]
         ce = np.array(cont_prefix)
         cq = np.array([c * v for c, v in zip(cont_prefix, eff_suffix)])
         # A gap no user reaches has ce == cq == 0, so its ranks score
         # exactly the slate's current value.
         base = np.array([p if c != 0.0 else current for c, p in zip(cont_prefix, eff_prefix)])
-        lin = ce[gap] * e + cq[gap] * q
+        lin = ce[gap] * ecpms + cq[gap] * conts
         score = base[gap] + lin
         score[chosen] = -np.inf
         best = int(np.argmax(score))
@@ -343,7 +385,11 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
         lo = chosen[g - 1] + 1 if g > 0 else 0
         hi = chosen[g] if g < len(chosen) else len(ranked)
         pos = lo + int(np.argmax(lin[lo:hi]))
-        insort(chosen, pos)
+        if lin[pos] <= cq[g]:
+            break
+        chosen.insert(g, pos)
+        member_ecpms.insert(g, float(ecpms[pos]))
+        member_conts.insert(g, float(conts[pos]))
         gap[pos + 1 :] += 1
         chain.append(Assignment.from_bidders([ranked[p] for p in chosen]))
     return OptChain(tuple(chain))
@@ -389,6 +435,13 @@ _SOLVERS: dict[str, Callable[[AuctionInstance, int | None], Assignment]] = {
     "fast": lambda inst, slots=None: fast_optimal(inst, slots).final,
 }
 
+# Solver bodies on a ranked form whose scores are lists.
+_BODIES: dict[str, Callable[[Sequence[Bidder], list[float], list[float], int], Assignment]] = {
+    "brute": _brute,
+    "dp": _dp,
+    "fast": lambda ranked, ecpms, conts, m: _fast(ranked, ecpms, conts, m).final,
+}
+
 
 def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -> Assignment:
     """Run the named solver ("brute", "dp", or "fast") on an instance."""
@@ -397,3 +450,18 @@ def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -
     except KeyError:
         raise ValueError(f"unknown solver {method!r}; expected one of {sorted(_SOLVERS)}")
     return solver(inst, slots)
+
+
+def _resolve(
+    ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int, method: str
+) -> Assignment:
+    """The named solver's slate of at most ``m`` ads from a ranked form
+    with list scores, re-pruned to its m-skyband first; no instance is
+    built and nothing is sorted."""
+    if len(ranked) > m:
+        keep = _skyband(ecpms, conts, m)
+        if len(keep) < len(ranked):
+            ranked = [ranked[t] for t in keep]
+            ecpms = [ecpms[t] for t in keep]
+            conts = [conts[t] for t in keep]
+    return _BODIES[method](ranked, ecpms, conts, m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _check_brute_size, _ranked, effective_slots, solve
+from .optimizer import _check_brute_size, _ranked, _resolve, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -63,11 +63,14 @@ def vcg_prices(
         payment_i = value(best slate without i) - (value(winning slate) - v_i)
 
     One solver run for the slate plus one per winner — at most
-    ``slots + 1`` invocations.  The instance is first pruned once to its
-    (slots + 1)-skyband: an ad that ``slots + 1`` others beat on both ecpm
-    and adjusted ecpm is still beaten ``slots`` times once any one winner
-    is removed, so it wins no slot in any of the runs.  Every run then
-    works on the survivors only.
+    ``slots + 1`` invocations.  The instance is ranked once and pruned to
+    its (slots + 1)-skyband: an ad that ``slots + 1`` others beat on both
+    ecpm and adjusted ecpm is still beaten ``slots`` times once any one
+    winner is removed, so it wins no slot in any of the runs.  The slate
+    is solved on those survivors.  Each winner's re-solve runs on the
+    ranked survivors minus that winner, which keep their canonical order,
+    re-pruned to the skyband of the re-solve's slot count; it builds no
+    instance and sorts nothing.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -78,20 +81,27 @@ def vcg_prices(
     """
     if solver == "brute":
         _check_brute_size(inst, slots)
-    survivors, _, _ = _ranked(inst, effective_slots(inst, slots) + 1)
-    pool = AuctionInstance(tuple(survivors), inst.slots)
-    slate = solve(pool, slots, solver)
+    m = effective_slots(inst, slots)
+    survivors, ecpms, conts = _ranked(inst, m + 1)
+    ecpms, conts = ecpms.tolist(), conts.tolist()
+    slate = solve(AuctionInstance(tuple(survivors), inst.slots), slots, solver)
+    resolve_slots = min(m, len(survivors) - 1)
+    rank_of = {b.id: r for r, b in enumerate(survivors)}
     winners: list[WinnerPrice] = []
     for rank, bidder_id in enumerate(slate.order):
         click = slate.click_probs[rank]
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
-        value = click * pool.bidder(bidder_id).bid
+        r = rank_of[bidder_id]
+        value = click * survivors[r].bid
         others_alongside = slate.efficiency - value
-        rest = AuctionInstance(
-            tuple(b for b in pool.bidders if b.id != bidder_id), inst.slots
-        )
-        others_alone = solve(rest, slots, solver).efficiency
+        others_alone = _resolve(
+            survivors[:r] + survivors[r + 1 :],
+            ecpms[:r] + ecpms[r + 1 :],
+            conts[:r] + conts[r + 1 :],
+            resolve_slots,
+            solver,
+        ).efficiency
         payment = others_alone - others_alongside
         winners.append(
             WinnerPrice(

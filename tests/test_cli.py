@@ -6,8 +6,10 @@ environment override, and byte-for-byte determinism of repeated runs.
 """
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +307,37 @@ class TestDeterminism:
         second = run(capsys, args[0], page_file, *args[1:])
         assert first == second
         assert first[0] == 0
+
+
+def readme_examples():
+    """The page file and the ``(argv, stdout)`` examples of README.md's
+    command-line section, ``bench`` left out for its ``elapsed_s``."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = section.split("\n## Command line\n", 1)[1]
+    console = section.split("```console\n", 1)[1].split("```", 1)[0]
+    page = section.split("```json\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in console.split("$ markov-auction ")[1:]:
+        command, _, stdout = chunk.partition("\n")
+        if not command.startswith("bench"):
+            examples.append(pytest.param(shlex.split(command), stdout.rstrip("\n") + "\n", id=command))
+    return page, examples
+
+
+README_PAGE, README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, expected", README_EXAMPLES)
+    def test_output_matches_readme(self, capsys, tmp_path, monkeypatch, argv, expected):
+        (tmp_path / "page.json").write_text(README_PAGE, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_every_command_but_bench_is_shown(self):
+        shown = {argv[0] for argv in (p.values[0] for p in README_EXAMPLES)}
+        assert shown == {"assign", "price", "compare", "sweep"}
+        assert len(README_EXAMPLES) == 5
 
 
 class TestSubprocess:

@@ -102,6 +102,21 @@ class TestDegenerateInstances:
         slate = solve(inst, method=method)
         assert set(slate.order) == {0, 2}
 
+    @pytest.mark.parametrize("method", ALL_SOLVERS)
+    def test_zero_value_ads_are_not_padded_after_prefix_rounding(self, method):
+        # Below (3, 0, 7) fast's prefix value for the bottom gap sums to
+        # 7.077500000000001, one ulp above the slate value 7.0775 summed
+        # bottom up, so a zero-bid ad placed there scored above the slate.
+        # Its gain over the gap's current term, taken without the prefix,
+        # is 0.
+        rows = (
+            (0, 2, 0.97, 0.81), (1, 0, 0.25, 0.2), (2, 0, 0.97, 0.5),
+            (3, 4.85, 1, 0.81), (4, 0, 0.25, 0.81), (5, 0, 0.25, 0.2),
+            (6, 0, 0.25, 0.81), (7, 4, 0.25, 0.75), (8, 0, 0.5, 0.81),
+        )
+        inst = AuctionInstance(tuple(Bidder(*row) for row in rows), 5)
+        assert solve(inst, method=method).order == (3, 0, 7)
+
     def test_all_zero_bids_yield_empty_slate(self):
         inst = AuctionInstance(tuple(Bidder(i, 0.0, 0.5, 0.5) for i in range(4)), 3)
         for method in ALL_SOLVERS:

@@ -1,17 +1,20 @@
-"""The k-skyband prune that every solver and VCG pricing run first.
+"""The ranking and k-skyband prune that every solver and VCG pricing run first.
 
-Unit tests pin what the prune keeps; property tests check that solving
-and pricing on the survivors gives exactly what solving on every ad does.
-The unpruned reference comes from replacing the prune with one that keeps
-every ad.
+Unit tests pin what the prune keeps and check the numpy ranking against
+``canonical_order`` and a quadratic count; property tests check that
+solving and pricing on the survivors gives exactly what solving on every
+ad does.  The unpruned reference comes from replacing the prune with one
+that keeps every ad, and the pricing reference rebuilds an instance per
+winner.
 """
 
 import numpy as np
 import pytest
 
+from conftest import random_bidders
 from markov_auction import AuctionInstance, Bidder, canonical_order, solve, vcg_prices
 from markov_auction import optimizer
-from markov_auction.optimizer import _skyband
+from markov_auction.optimizer import _ranked, _skyband
 
 
 def scores(bidders):
@@ -19,14 +22,19 @@ def scores(bidders):
     return [b.ecpm for b in ranked], [b.cont for b in ranked]
 
 
-def beaten_fewer_than(ecpms, conts, m):
-    """Quadratic reference: ranks beaten strictly on both scores fewer than m times."""
+def beaten_counts(ecpms, conts):
+    """Quadratic reference: how many ads beat each rank strictly on both scores."""
     adj = [e / (1.0 - q) for e, q in zip(ecpms, conts)]
     return [
-        t
+        sum(ecpms[u] > ecpms[t] and adj[u] > adj[t] for u in range(len(ecpms)))
         for t in range(len(ecpms))
-        if sum(ecpms[u] > ecpms[t] and adj[u] > adj[t] for u in range(len(ecpms))) < m
     ]
+
+
+def beaten_fewer_than(ecpms, conts, m, counts=None):
+    """Ranks beaten strictly on both scores fewer than m times."""
+    counts = beaten_counts(ecpms, conts) if counts is None else counts
+    return [t for t, c in enumerate(counts) if c < m]
 
 
 def tie_grid_instance(rng):
@@ -120,3 +128,94 @@ class TestPruneIsInvisible:
         rng = np.random.default_rng(43 + slots)
         for _ in range(25):
             assert_prune_is_invisible(monkeypatch, quantized_instance(rng, slots), method)
+
+
+def assert_ranked_is_reference(inst, slots_list):
+    """``_ranked`` is ``canonical_order`` plus the quadratic skyband count,
+    with bit-identical scores."""
+    canon = canonical_order(inst.bidders)
+    ecpms, conts = [b.ecpm for b in canon], [b.cont for b in canon]
+    counts = beaten_counts(ecpms, conts)
+    for m in slots_list:
+        ranked, got_ecpms, got_conts = _ranked(inst, m)
+        keep = beaten_fewer_than(ecpms, conts, m, counts) if inst.n > m else range(inst.n)
+        assert [b.id for b in ranked] == [canon[t].id for t in keep]
+        assert got_ecpms.tolist() == [ecpms[t] for t in keep]
+        assert got_conts.tolist() == [conts[t] for t in keep]
+
+
+class TestRanked:
+    def test_tie_grid(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            inst = tie_grid_instance(rng)
+            # Ids out of input order, so the tie rule cannot lean on it.
+            ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
+            inst = AuctionInstance(
+                tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots
+            )
+            assert_ranked_is_reference(inst, (1, 2, 3, 4))
+
+    def test_quantized(self):
+        rng = np.random.default_rng(45)
+        for _ in range(10):
+            assert_ranked_is_reference(quantized_instance(rng, 1), (1, 3, 10))
+
+    def test_continuous_past_the_checkpoints(self):
+        # n far above 4 * m, so the vectorised bound runs at several
+        # checkpoints and drops ads before the heap loop.
+        rng = np.random.default_rng(46)
+        inst = AuctionInstance(random_bidders(rng, 1500), 1)
+        assert_ranked_is_reference(inst, (1, 10, 100))
+
+    def test_huge_ids_tie_by_id(self):
+        # Adjusted ecpm 1.0 for all three; the ids do not fit in an int64.
+        bidders = [Bidder(2**70, 1.0, 1.0, 0.0), Bidder(2**63 + 1, 0.5, 1.0, 0.5), Bidder(2**63, 1.0, 0.5, 0.5)]
+        expected = [2**63, 2**63 + 1, 2**70]
+        assert [b.id for b in canonical_order(bidders)] == expected
+        ranked, _, _ = _ranked(AuctionInstance(tuple(bidders), 1), 1)
+        assert [b.id for b in ranked] == expected
+
+    def test_negative_zero_bid_ties_with_zero(self):
+        # -0.0 is a valid bid; its adjusted ecpm equals 0.0, so the id decides.
+        for bidders in (
+            [Bidder(1, 0.0, 0.5, 0.5), Bidder(0, -0.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.5)],
+            [Bidder(0, -0.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.5), Bidder(1, 0.0, 0.5, 0.5)],
+        ):
+            assert [b.id for b in canonical_order(bidders)] == [2, 0, 1]
+            assert_ranked_is_reference(AuctionInstance(tuple(bidders), 1), (1, 2))
+
+
+def rebuilt_prices(inst, method):
+    """VCG by definition: one public solve per winner on a rebuilt instance."""
+    slate = solve(inst, method=method)
+    prices = []
+    for rank, bidder_id in enumerate(slate.order):
+        click = slate.click_probs[rank]
+        value = click * inst.bidder(bidder_id).bid
+        rest = AuctionInstance(tuple(b for b in inst.bidders if b.id != bidder_id), inst.slots)
+        payment = solve(rest, method=method).efficiency - (slate.efficiency - value)
+        prices.append((bidder_id, payment, payment / click))
+    return slate.order, prices
+
+
+def ranked_prices(inst, method):
+    slate, schedule = vcg_prices(inst, solver=method)
+    return slate.order, [(w.bidder_id, w.expected_payment, w.per_click_price) for w in schedule.winners]
+
+
+class TestResolvesOnRankedSurvivors:
+    @pytest.mark.parametrize("method", ("brute", "dp", "fast"))
+    def test_tie_grid(self, method):
+        rng = np.random.default_rng(47)
+        for _ in range(400):
+            inst = tie_grid_instance(rng)
+            assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
+
+    @pytest.mark.parametrize("method", ("dp", "fast"))
+    @pytest.mark.parametrize("slots", (1, 3, 10))
+    def test_quantized(self, method, slots):
+        rng = np.random.default_rng(48 + slots)
+        for _ in range(8):
+            inst = quantized_instance(rng, slots)
+            assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
