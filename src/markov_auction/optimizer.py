@@ -122,29 +122,27 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     the rest keeps exactly the same ranks.  Below ``4 * m`` ads there is no
     checkpoint and the loop sees every ad.
     """
+    ecpms = np.asarray(ecpms, dtype=float)
+    adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
     n = len(ecpms)
+    candidate = np.empty(n, dtype=bool)
+    candidate.fill(True)
     checkpoint = 4 * m
-    if checkpoint >= n:
-        scored = zip(range(n), ecpms, [e / (1.0 - q) for e, q in zip(ecpms, conts)])
-    else:
-        ecpms = np.asarray(ecpms, dtype=float)
-        adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
-        falling = -adjs
-        candidate = np.ones(n, dtype=bool)
-        while checkpoint < n:
-            start = int(np.searchsorted(falling, falling[checkpoint], side="left"))
-            if start >= m:
-                bound = np.partition(ecpms[:start], start - m)[start - m]
-                block = slice(checkpoint, 2 * checkpoint)
-                candidate[block] = ecpms[block] >= bound
-            checkpoint *= 2
-        ranks = np.flatnonzero(candidate)
-        scored = zip(ranks.tolist(), ecpms[ranks].tolist(), adjs[ranks].tolist())
+    while checkpoint < n:
+        # The checkpoint's group starts after the ads of strictly higher
+        # adjusted ecpm; the reversed view is in ascending order.
+        start = n - int(np.searchsorted(adjs[::-1], adjs[checkpoint], side="right"))
+        if start >= m:
+            bound = np.partition(ecpms[:start], start - m)[start - m]
+            block = slice(checkpoint, 2 * checkpoint)
+            candidate[block] = ecpms[block] >= bound
+        checkpoint *= 2
+    ranks = candidate.nonzero()[0]
     heap = [-math.inf] * m
     keep: list[int] = []
     group_adj = None
     floor = -math.inf
-    for t, e, adj in scored:
+    for t, e, adj in zip(ranks.tolist(), ecpms[ranks].tolist(), adjs[ranks].tolist()):
         if adj != group_adj:
             group_adj = adj
             floor = heap[0]
@@ -155,23 +153,28 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     return keep
 
 
-def _ranked(inst: AuctionInstance, m: int) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
-    """The ranked form of an instance for ``m`` slots: the ads that can win
-    one of them, in canonical order, with their ecpms and conts as float64
-    arrays.
+def _prune(
+    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int
+) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
+    """The ranked form for ``m`` slots: the m-skyband of the ads that
+    ``order`` lists from ``bidders`` in canonical order, as a list of
+    bidders with their ecpms and conts as float64 arrays.
 
-    One numpy index sort ranks the instance (``canonical_ranks``); the
-    k-skyband prune then keeps the survivors, and is skipped when every ad
-    fits in the slots.  Every solver body works on this form: ``fast`` on
-    the arrays, ``dp`` and ``brute`` on them as lists.
+    The prune is skipped when every ad fits in the slots.  Every solver
+    body works on this form: ``fast`` on the arrays, ``dp`` and ``brute``
+    on them as lists.
     """
-    order, ecpms, conts = canonical_ranks(inst.bidders)
     if len(order) > m:
         keep = _skyband(ecpms, conts, m)
         if len(keep) < len(order):
             order, ecpms, conts = order[keep], ecpms[keep], conts[keep]
-    bidders = inst.bidders
     return [bidders[i] for i in order.tolist()], ecpms, conts
+
+
+def _ranked(inst: AuctionInstance, m: int) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
+    """The ranked form of an instance for ``m`` slots: one numpy index
+    sort (``canonical_ranks``), then the k-skyband prune."""
+    return _prune(inst.bidders, *canonical_ranks(inst.bidders), m)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +191,11 @@ def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assi
     Raises:
         SizeLimitExceeded: when n > 22 or the requested slot count > 20.
     """
-    _check_brute_size(inst, slots)
-    m = effective_slots(inst, slots)
-    ranked, ecpms, conts = _ranked(inst, m)
-    return _brute(ranked, ecpms.tolist(), conts.tolist(), m)
+    return _optimal(_brute, inst, slots)
 
 
-def _brute(ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int) -> Assignment:
+def _brute(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> Assignment:
+    ecpms, conts = ecpms.tolist(), conts.tolist()
     ids = [b.id for b in ranked]
     best_eff = 0.0
     best_ids: tuple[int, ...] = ()
@@ -236,12 +237,11 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     O(c log slots) exact prune over the ``c`` ads the bound keeps, then
     O(survivors * slots) time and take/skip memory.
     """
-    m = effective_slots(inst, slots)
-    ranked, ecpms, conts = _ranked(inst, m)
-    return _dp(ranked, ecpms.tolist(), conts.tolist(), m)
+    return _optimal(_dp, inst, slots)
 
 
-def _dp(ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int) -> Assignment:
+def _dp(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> Assignment:
+    ecpms, conts = ecpms.tolist(), conts.tolist()
     n = len(ranked)
     take = [bytearray(m + 1) for _ in range(n)]
     below = [0.0] * (m + 1)
@@ -276,24 +276,24 @@ def _dp(ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int
 
 
 def _prefix_tables(
-    ecpms: Sequence[float], conts: Sequence[float]
+    chosen: Sequence[int], ecpms: Sequence[float], conts: Sequence[float]
 ) -> tuple[list[float], list[float], list[float]]:
-    """Running slate tables for the current members, given their ecpms and
-    conts in slate order.
+    """Running slate tables for the current members (sorted positions).
 
     Returns ``(cont_prefix, eff_prefix, eff_suffix)`` where entry ``p`` of
     the prefixes covers the first ``p`` members and ``eff_suffix[p]`` is
     the value of the members from rank ``p`` down.
     """
-    i = len(ecpms)
+    i = len(chosen)
     cont_prefix = [1.0] * (i + 1)
     eff_prefix = [0.0] * (i + 1)
-    for t in range(i):
-        eff_prefix[t + 1] = eff_prefix[t] + cont_prefix[t] * ecpms[t]
-        cont_prefix[t + 1] = cont_prefix[t] * conts[t]
+    for t, p in enumerate(chosen):
+        eff_prefix[t + 1] = eff_prefix[t] + cont_prefix[t] * ecpms[p]
+        cont_prefix[t + 1] = cont_prefix[t] * conts[p]
     eff_suffix = [0.0] * (i + 1)
     for t in range(i - 1, -1, -1):
-        eff_suffix[t] = ecpms[t] + conts[t] * eff_suffix[t + 1]
+        p = chosen[t]
+        eff_suffix[t] = ecpms[p] + conts[p] * eff_suffix[t + 1]
     return cont_prefix, eff_prefix, eff_suffix
 
 
@@ -316,9 +316,7 @@ def _best_insert(
     """
     n = index.n
     i = len(chosen)
-    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(
-        [ecpms[p] for p in chosen], [conts[p] for p in chosen]
-    )
+    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpms, conts)
     best_val = -float("inf")
     best_pos = -1
     for g in range(i + 1):
@@ -354,21 +352,17 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     and the prune the cost is O(slots * s) numpy work and O(slots^2)
     Python for ``s`` survivors.
     """
-    m = effective_slots(inst, slots)
-    return _fast(*_ranked(inst, m), m)
+    return _optimal(_fast, inst, slots)
 
 
-def _fast(ranked: Sequence[Bidder], ecpms: Sequence[float], conts: Sequence[float], m: int) -> OptChain:
-    ecpms = np.asarray(ecpms, dtype=float)
-    conts = np.asarray(conts, dtype=float)
+def _fast(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> OptChain:
+    ecpm_list, cont_list = ecpms.tolist(), conts.tolist()
     # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
     gap = np.zeros(len(ranked), dtype=np.intp)
     chosen: list[int] = []
-    member_ecpms: list[float] = []
-    member_conts: list[float] = []
     chain: list[Assignment] = []
     for _ in range(m):
-        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(member_ecpms, member_conts)
+        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpm_list, cont_list)
         current = eff_suffix[0]
         ce = np.array(cont_prefix)
         cq = np.array([c * v for c, v in zip(cont_prefix, eff_suffix)])
@@ -388,8 +382,6 @@ def _fast(ranked: Sequence[Bidder], ecpms: Sequence[float], conts: Sequence[floa
         if lin[pos] <= cq[g]:
             break
         chosen.insert(g, pos)
-        member_ecpms.insert(g, float(ecpms[pos]))
-        member_conts.insert(g, float(conts[pos]))
         gap[pos + 1 :] += 1
         chain.append(Assignment.from_bidders([ranked[p] for p in chosen]))
     return OptChain(tuple(chain))
@@ -429,39 +421,37 @@ def marginal_best_insert(
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_SOLVERS: dict[str, Callable[[AuctionInstance, int | None], Assignment]] = {
-    "brute": brute_force_optimal,
-    "dp": dp_optimal,
-    "fast": lambda inst, slots=None: fast_optimal(inst, slots).final,
-}
-
-# Solver bodies on a ranked form whose scores are lists.
-_BODIES: dict[str, Callable[[Sequence[Bidder], list[float], list[float], int], Assignment]] = {
+# Solver bodies, each run on a ranked form for its slot count.
+_BODIES: dict[str, Callable[[list[Bidder], np.ndarray, np.ndarray, int], Assignment]] = {
     "brute": _brute,
     "dp": _dp,
     "fast": lambda ranked, ecpms, conts, m: _fast(ranked, ecpms, conts, m).final,
 }
 
 
+def _optimal(body: Callable, inst: AuctionInstance, slots: int | None) -> Assignment | OptChain:
+    """Run a solver body on the instance's ranked form for its effective
+    slot count; exhaustive search first checks the instance's size."""
+    if body is _brute:
+        _check_brute_size(inst, slots)
+    m = effective_slots(inst, slots)
+    return body(*_ranked(inst, m), m)
+
+
 def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -> Assignment:
     """Run the named solver ("brute", "dp", or "fast") on an instance."""
     try:
-        solver = _SOLVERS[method]
+        body = _BODIES[method]
     except KeyError:
-        raise ValueError(f"unknown solver {method!r}; expected one of {sorted(_SOLVERS)}")
-    return solver(inst, slots)
+        raise ValueError(f"unknown solver {method!r}; expected one of {sorted(_BODIES)}")
+    return _optimal(body, inst, slots)
 
 
 def _resolve(
-    ranked: Sequence[Bidder], ecpms: list[float], conts: list[float], m: int, method: str
+    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int, method: str
 ) -> Assignment:
-    """The named solver's slate of at most ``m`` ads from a ranked form
-    with list scores, re-pruned to its m-skyband first; no instance is
-    built and nothing is sorted."""
-    if len(ranked) > m:
-        keep = _skyband(ecpms, conts, m)
-        if len(keep) < len(ranked):
-            ranked = [ranked[t] for t in keep]
-            ecpms = [ecpms[t] for t in keep]
-            conts = [conts[t] for t in keep]
-    return _BODIES[method](ranked, ecpms, conts, m)
+    """The named solver's slate of at most ``m`` ads from the ads that
+    ``order`` lists from ``bidders`` in canonical order, with their scores,
+    re-pruned to its m-skyband first; no instance is built and nothing is
+    sorted."""
+    return _BODIES[method](*_prune(bidders, order, ecpms, conts, m), m)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Assignment, AuctionInstance
 from .optimizer import _check_brute_size, _ranked, _resolve, effective_slots, solve
 
@@ -83,10 +85,10 @@ def vcg_prices(
         _check_brute_size(inst, slots)
     m = effective_slots(inst, slots)
     survivors, ecpms, conts = _ranked(inst, m + 1)
-    ecpms, conts = ecpms.tolist(), conts.tolist()
     slate = solve(AuctionInstance(tuple(survivors), inst.slots), slots, solver)
     resolve_slots = min(m, len(survivors) - 1)
     rank_of = {b.id: r for r, b in enumerate(survivors)}
+    ranks = np.arange(len(survivors))
     winners: list[WinnerPrice] = []
     for rank, bidder_id in enumerate(slate.order):
         click = slate.click_probs[rank]
@@ -95,12 +97,9 @@ def vcg_prices(
         r = rank_of[bidder_id]
         value = click * survivors[r].bid
         others_alongside = slate.efficiency - value
+        rest = ranks != r
         others_alone = _resolve(
-            survivors[:r] + survivors[r + 1 :],
-            ecpms[:r] + ecpms[r + 1 :],
-            conts[:r] + conts[r + 1 :],
-            resolve_slots,
-            solver,
+            survivors, ranks[rest], ecpms[rest], conts[rest], resolve_slots, solver
         ).efficiency
         payment = others_alone - others_alongside
         winners.append(

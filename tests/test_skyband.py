@@ -1,7 +1,7 @@
 """The ranking and k-skyband prune that every solver and VCG pricing run first.
 
 Unit tests pin what the prune keeps and check the numpy ranking against
-``canonical_order`` and a quadratic count; property tests check that
+a keyed sort and a quadratic count; property tests check that
 solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
@@ -131,9 +131,9 @@ class TestPruneIsInvisible:
 
 
 def assert_ranked_is_reference(inst, slots_list):
-    """``_ranked`` is ``canonical_order`` plus the quadratic skyband count,
-    with bit-identical scores."""
-    canon = canonical_order(inst.bidders)
+    """``_ranked`` is a keyed sort into canonical order plus the quadratic
+    skyband count, with bit-identical scores."""
+    canon = sorted(inst.bidders, key=lambda b: (-b.adjusted_ecpm, b.id))
     ecpms, conts = [b.ecpm for b in canon], [b.cont for b in canon]
     counts = beaten_counts(ecpms, conts)
     for m in slots_list:
