@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,6 +107,22 @@ class AuctionInstance:
             if b.id == bidder_id:
                 return b
         raise KeyError(bidder_id)
+
+    @cached_property
+    def ranking(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``canonical_ranks(self.bidders)``, computed on first use and kept
+        for the life of the instance: 24 bytes per ad.
+
+        Every solve, ``vcg_prices`` and ``compare_gsp`` on this instance
+        reads it.  The arrays are read-only, since every caller shares them.
+        The attribute is no dataclass field, so it takes no part in ``==``,
+        ``hash``, ``repr`` or the constructor, and copies made with
+        ``with_bid`` or ``dataclasses.replace`` start unranked.
+        """
+        arrays = canonical_ranks(self.bidders)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def with_bid(self, bidder_id: int, bid: float) -> "AuctionInstance":
         """A copy of the instance with one bidder's bid replaced."""

@@ -12,9 +12,11 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
 
-Each solver first ranks the instance once (``_ranked``): one numpy index
-sort into canonical order, then a prune that keeps the k-skyband, the ads
-that fewer than ``k`` others beat strictly on both ecpm and adjusted ecpm.
+Each solver starts from the instance's canonical ranking
+(``AuctionInstance.ranking``: one numpy index sort, computed on the
+instance's first solve and reused by every later one) and prunes it
+(``_ranked``) to the k-skyband, the ads that fewer than ``k`` others beat
+strictly on both ecpm and adjusted ecpm.
 An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
 swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hull_oracle import HullIndex, LinearQuery, build
-from .model import Assignment, AuctionInstance, Bidder, canonical_order, canonical_ranks, evaluate
+from .model import Assignment, AuctionInstance, Bidder, canonical_order, evaluate
 
 __all__ = [
     "SizeLimitExceeded",
@@ -172,9 +174,9 @@ def _prune(
 
 
 def _ranked(inst: AuctionInstance, m: int) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
-    """The ranked form of an instance for ``m`` slots: one numpy index
-    sort (``canonical_ranks``), then the k-skyband prune."""
-    return _prune(inst.bidders, *canonical_ranks(inst.bidders), m)
+    """The ranked form of an instance for ``m`` slots: its cached canonical
+    ranking, pruned to the m-skyband."""
+    return _prune(inst.bidders, *inst.ranking, m)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +352,21 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     current term, judged without the prefix value, which can round the
     summed score above the slate's value.  After the O(n log n) numpy sort
     and the prune the cost is O(slots * s) numpy work and O(slots^2)
-    Python for ``s`` survivors.
+    Python for ``s`` survivors.  ``solve(method="fast")`` grows the same
+    chain but builds only its last slate.
     """
-    return _optimal(_fast, inst, slots)
+    return _optimal(_chain, inst, slots)
 
 
-def _fast(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> OptChain:
+def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
+    """The ranks the chain adds, one per step, in the order it adds them;
+    the slate after step ``i`` is the first ``i`` of them, sorted."""
     ecpm_list, cont_list = ecpms.tolist(), conts.tolist()
+    n = len(ecpm_list)
     # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
-    gap = np.zeros(len(ranked), dtype=np.intp)
+    gap = np.zeros(n, dtype=np.intp)
     chosen: list[int] = []
-    chain: list[Assignment] = []
+    picks: list[int] = []
     for _ in range(m):
         cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpm_list, cont_list)
         current = eff_suffix[0]
@@ -377,14 +383,24 @@ def _fast(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) ->
             break
         g = int(gap[best])
         lo = chosen[g - 1] + 1 if g > 0 else 0
-        hi = chosen[g] if g < len(chosen) else len(ranked)
+        hi = chosen[g] if g < len(chosen) else n
         pos = lo + int(np.argmax(lin[lo:hi]))
         if lin[pos] <= cq[g]:
             break
         chosen.insert(g, pos)
+        picks.append(pos)
         gap[pos + 1 :] += 1
-        chain.append(Assignment.from_bidders([ranked[p] for p in chosen]))
-    return OptChain(tuple(chain))
+    return picks
+
+
+def _chain(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> OptChain:
+    picks = _fast(ecpms, conts, m)
+    return OptChain(tuple(_slate(ranked, picks[:i]) for i in range(1, len(picks) + 1)))
+
+
+def _slate(ranked: list[Bidder], ranks: Sequence[int]) -> Assignment:
+    """The slate of the given ranks, in canonical order."""
+    return Assignment.from_bidders([ranked[t] for t in sorted(ranks)])
 
 
 def marginal_best_insert(
@@ -425,7 +441,7 @@ def marginal_best_insert(
 _BODIES: dict[str, Callable[[list[Bidder], np.ndarray, np.ndarray, int], Assignment]] = {
     "brute": _brute,
     "dp": _dp,
-    "fast": lambda ranked, ecpms, conts, m: _fast(ranked, ecpms, conts, m).final,
+    "fast": lambda ranked, ecpms, conts, m: _slate(ranked, _fast(ecpms, conts, m)),
 }
 
 

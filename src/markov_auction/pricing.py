@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _check_brute_size, _ranked, _resolve, effective_slots, solve
+from .optimizer import _ranked, _resolve, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -65,14 +65,14 @@ def vcg_prices(
         payment_i = value(best slate without i) - (value(winning slate) - v_i)
 
     One solver run for the slate plus one per winner — at most
-    ``slots + 1`` invocations.  The instance is ranked once and pruned to
-    its (slots + 1)-skyband: an ad that ``slots + 1`` others beat on both
-    ecpm and adjusted ecpm is still beaten ``slots`` times once any one
-    winner is removed, so it wins no slot in any of the runs.  The slate
-    is solved on those survivors.  Each winner's re-solve runs on the
-    ranked survivors minus that winner, which keep their canonical order,
-    re-pruned to the skyband of the re-solve's slot count; it builds no
-    instance and sorts nothing.
+    ``slots + 1`` invocations, all on the instance's one cached ranking.
+    The slate is a plain ``solve`` of the instance.  For the re-solves the
+    ranking is pruned to its (slots + 1)-skyband: an ad that ``slots + 1``
+    others beat on both ecpm and adjusted ecpm is still beaten ``slots``
+    times once any one winner is removed, so it wins no slot in any of
+    them.  Each winner's re-solve runs on those ranked survivors minus that
+    winner, which keep their canonical order, re-pruned to the skyband of
+    the re-solve's slot count; it builds no instance and sorts nothing.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -81,11 +81,9 @@ def vcg_prices(
         SizeLimitExceeded: for ``solver="brute"`` on an instance too large
             for exhaustive search, judged before the prune.
     """
-    if solver == "brute":
-        _check_brute_size(inst, slots)
+    slate = solve(inst, slots, solver)
     m = effective_slots(inst, slots)
     survivors, ecpms, conts = _ranked(inst, m + 1)
-    slate = solve(AuctionInstance(tuple(survivors), inst.slots), slots, solver)
     resolve_slots = min(m, len(survivors) - 1)
     rank_of = {b.id: r for r, b in enumerate(survivors)}
     ranks = np.arange(len(survivors))

@@ -1,5 +1,7 @@
 """Unit tests for the domain model: validation, slate arithmetic, identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from markov_auction import (
     click_probabilities,
     evaluate,
 )
+from markov_auction.model import canonical_ranks
 
 
 class TestBidderValidation:
@@ -73,6 +76,39 @@ class TestAuctionInstance:
         assert probe.bidder(1).bid == page.bidder(1).bid
         with pytest.raises(KeyError):
             page.with_bid(99, 1.0)
+
+
+class TestRankingCache:
+    """``AuctionInstance.ranking`` is filled on first use and kept, without
+    becoming part of the instance's value."""
+
+    def test_is_canonical_ranks_and_computed_once(self):
+        inst = random_instance(np.random.default_rng(50), 40, 5)
+        assert "ranking" not in inst.__dict__
+        first = inst.ranking
+        assert inst.ranking is first
+        for got, want in zip(first, canonical_ranks(inst.bidders)):
+            assert got.tolist() == want.tolist()
+
+    def test_arrays_are_read_only(self, page):
+        for a in page.ranking:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_takes_no_part_in_value(self):
+        ranked = random_instance(np.random.default_rng(51), 30, 4)
+        unranked = AuctionInstance(ranked.bidders, ranked.slots)
+        ranked.ranking
+        assert ranked == unranked
+        assert hash(ranked) == hash(unranked)
+        assert repr(ranked) == repr(unranked)
+        assert "ranking" not in unranked.__dict__
+
+    def test_copies_start_unranked(self, page):
+        page.ranking
+        assert "ranking" not in page.with_bid(3, 9.0).__dict__
+        assert "ranking" not in dataclasses.replace(page).__dict__
+        assert "ranking" not in dataclasses.replace(page, slots=1).__dict__
 
 
 class TestEvaluate:

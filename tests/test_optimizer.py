@@ -204,10 +204,11 @@ class TestChain:
         rng = np.random.default_rng(102)
         for _ in range(150):
             inst = make_random_instance(rng, max_n=30, max_slots=8)
-            chain = fast_optimal(inst).solutions
-            assert len(chain) == min(inst.n, inst.slots)
+            chain = fast_optimal(inst)
+            assert solve(inst, method="fast") == chain.final
+            assert len(chain.solutions) == min(inst.n, inst.slots)
             previous = frozenset()
-            for i, slate in enumerate(chain, start=1):
+            for i, slate in enumerate(chain.solutions, start=1):
                 assert len(slate.order) == i
                 assert previous < slate.selected
                 previous = slate.selected
@@ -242,6 +243,7 @@ class TestChain:
             tuple(Bidder(i, 1.01 - float(c) ** 2, 1.0, float(c)) for i, c in enumerate(conts)), 30
         )
         fast, dp = fast_optimal(inst).final, dp_optimal(inst)
+        assert solve(inst, method="fast") == fast
         assert fast.order == dp.order
         assert fast.efficiency == dp.efficiency
 
@@ -271,6 +273,7 @@ class TestChain:
     def test_near_twins(self, rows, expected):
         inst = AuctionInstance(tuple(Bidder(*row) for row in rows), 2)
         slate = fast_optimal(inst).final
+        assert solve(inst, method="fast") == slate
         assert slate.order == expected
         assert slate.efficiency == dp_optimal(inst).efficiency
 

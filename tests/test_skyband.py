@@ -5,14 +5,15 @@ a keyed sort and a quadratic count; property tests check that
 solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
-winner.
+winner.  An instance keeps its ranking once computed; calls on a ranked
+instance must match the same calls each made on a fresh equal one.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_bidders
-from markov_auction import AuctionInstance, Bidder, canonical_order, solve, vcg_prices
+from markov_auction import AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
 from markov_auction import optimizer
 from markov_auction.optimizer import _ranked, _skyband
 
@@ -219,3 +220,34 @@ class TestResolvesOnRankedSurvivors:
         for _ in range(8):
             inst = quantized_instance(rng, slots)
             assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
+
+
+def every_call(instance, methods):
+    """Every solve at every slot count, then pricing and the GSP comparison,
+    each on ``instance()``."""
+    k = instance().slots
+    out = [solve(instance(), j, method) for method in methods for j in range(1, k + 1)]
+    out += [vcg_prices(instance(), solver=method) for method in methods]
+    out.append(compare_gsp(instance()))
+    return out
+
+
+def assert_ranking_is_invisible(inst, methods):
+    fresh = every_call(lambda: AuctionInstance(inst.bidders, inst.slots), methods)
+    assert "ranking" not in inst.__dict__
+    assert every_call(lambda: inst, methods) == fresh
+    assert "ranking" in inst.__dict__
+    assert every_call(lambda: inst, methods) == fresh
+
+
+class TestRankingIsInvisible:
+    def test_tie_grid(self):
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            assert_ranking_is_invisible(tie_grid_instance(rng), ("brute", "dp", "fast"))
+
+    @pytest.mark.parametrize("slots", (1, 3, 10))
+    def test_quantized(self, slots):
+        rng = np.random.default_rng(52 + slots)
+        for _ in range(8):
+            assert_ranking_is_invisible(quantized_instance(rng, slots), ("dp", "fast"))
