@@ -67,29 +67,22 @@ class NamedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _check_fields(name: str, where: str, bid: Any, ctr: Any, cont: Any) -> tuple[float, float, float]:
-    out = []
-    for field, raw, low_ok, low, high, high_ok in (
-        ("bid", bid, True, 0.0, math.inf, False),
-        ("ctr", ctr, False, 0.0, 1.0, True),
-        ("cont", cont, True, 0.0, 1.0, False),
-    ):
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise InputError(f"bidder {name!r} ({where}): field {field!r} must be a number, got {raw!r}")
-        val = float(raw)
-        if not math.isfinite(val):
-            raise InputError(f"bidder {name!r} ({where}): field {field!r} must be finite, got {val!r}")
-        above = val >= low if low_ok else val > low
-        below = val <= high if high_ok else val < high
-        if not (above and below):
-            lo_b = "[" if low_ok else "("
-            hi_b = "]" if high_ok else ")"
-            raise InputError(
-                f"bidder {name!r} ({where}): field {field!r} must be in "
-                f"{lo_b}{low}, {high}{hi_b}, got {val!r}"
-            )
-        out.append(val)
-    return out[0], out[1], out[2]
+def _bidder(dense_id: int, name: str, where: str, bid: Any, ctr: Any, cont: Any) -> Bidder:
+    """``Bidder(dense_id, bid, ctr, cont)``, with a field error naming the
+    file's bidder and its row."""
+    try:
+        return Bidder(dense_id, bid, ctr, cont)
+    except ValueError as exc:
+        # Bidder's message reads "bidder <dense id>: <the rule broken>".
+        raise InputError(f"bidder {name!r} ({where}): {str(exc).partition(': ')[2]}") from None
+
+
+def _csv_number(text: str) -> float | str:
+    """``float(text)``, or the text itself, which ``Bidder`` rejects as no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _load_json(path: str, slots_override: int | None) -> NamedInstance:
@@ -122,8 +115,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
                 raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
         if name in seen:
             raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
-        bid, ctr, cont = _check_fields(name, where, row["bid"], row["ctr"], row["cont"])
-        bidders.append(Bidder(len(names), bid, ctr, cont))
+        bidders.append(_bidder(len(names), name, where, row["bid"], row["ctr"], row["cont"]))
         names.append(name)
         seen.add(name)
     if slots_override is not None:
@@ -156,19 +148,10 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                 name = row["id"]
                 if name is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
                     raise InputError(f"{path}: {where} has too few columns")
-                fields = {}
-                for field in ("bid", "ctr", "cont"):
-                    try:
-                        fields[field] = float(row[field])
-                    except ValueError:
-                        raise InputError(
-                            f"bidder {name!r} ({where}): field {field!r} must be a number, "
-                            f"got {row[field]!r}"
-                        ) from None
                 if name in seen:
                     raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
-                bid, ctr, cont = _check_fields(name, where, fields["bid"], fields["ctr"], fields["cont"])
-                bidders.append(Bidder(len(names), bid, ctr, cont))
+                bid, ctr, cont = (_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
+                bidders.append(_bidder(len(names), name, where, bid, ctr, cont))
                 names.append(name)
                 seen.add(name)
     except OSError as exc:
@@ -250,8 +233,6 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         raise InputError(f"bid grid bounds must be finite, got {ns.start} .. {ns.stop}")
     if ns.start < 0.0 or ns.stop < ns.start:
         raise InputError(f"bid grid must satisfy 0 <= from <= to, got {ns.start} .. {ns.stop}")
-    if ns.steps < 1:
-        raise InputError(f"--steps must be >= 1, got {ns.steps}")
     dense = named.dense(ns.bidder)
     grid = [float(x) for x in np.linspace(ns.start, ns.stop, ns.steps)]
     report = sweep_bid(named.instance, dense, grid)
@@ -384,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidder", required=True, help="id of the bidder to sweep")
     p.add_argument("--from", dest="start", type=float, required=True, help="first bid")
     p.add_argument("--to", dest="stop", type=float, required=True, help="last bid")
-    p.add_argument("--steps", type=int, default=50, help="number of grid points")
+    p.add_argument("--steps", type=_positive_int, default=50, help="number of grid points")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="ecpm ranking versus the optimizer")

@@ -11,6 +11,7 @@ ad placed above it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -46,6 +47,9 @@ class Bidder:
         bid: Money the bidder pays per click, >= 0.
         ctr: Probability the user clicks this ad when she reaches it, in (0, 1].
         cont: Probability the user keeps scanning past this ad, in [0, 1).
+
+    Scores are real numbers, stored as floats, and the adjusted ecpm is
+    finite, so no slate value (at most its largest adjusted ecpm) overflows.
     """
 
     id: int
@@ -56,15 +60,29 @@ class Bidder:
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
             raise ValueError(f"id must be a non-negative integer, got {self.id!r}")
-        object.__setattr__(self, "bid", float(self.bid))
-        object.__setattr__(self, "ctr", float(self.ctr))
-        object.__setattr__(self, "cont", float(self.cont))
-        if not math.isfinite(self.bid) or self.bid < 0.0:
-            raise ValueError(f"bidder {self.id}: bid must be finite and >= 0, got {self.bid!r}")
-        if not 0.0 < self.ctr <= 1.0:
-            raise ValueError(f"bidder {self.id}: ctr must be in (0, 1], got {self.ctr!r}")
-        if not 0.0 <= self.cont < 1.0:
-            raise ValueError(f"bidder {self.id}: cont must be in [0, 1), got {self.cont!r}")
+        bid, ctr, cont = self.bid, self.ctr, self.cont
+        # Every comparison is False for NaN; a finite ecpm overflows only to +inf.
+        if not (
+            type(bid) is type(ctr) is type(cont) is float
+            and 0.0 <= bid < math.inf and 0.0 < ctr <= 1.0 and 0.0 <= cont < 1.0
+            and ctr * bid / (1.0 - cont) < math.inf
+        ):
+            bid, ctr, cont = _as_float(bid), _as_float(ctr), _as_float(cont)
+            for field, inside, interval in (
+                ("bid", 0.0 <= bid < math.inf, "[0.0, inf)"),
+                ("ctr", 0.0 < ctr <= 1.0, "(0.0, 1.0]"),
+                ("cont", 0.0 <= cont < 1.0, "[0.0, 1.0)"),
+            ):
+                if not inside:
+                    raise ValueError(
+                        f"bidder {self.id}: field {field!r} must be a number in {interval}, "
+                        f"got {getattr(self, field)!r}"
+                    )
+            if not ctr * bid / (1.0 - cont) < math.inf:
+                raise ValueError(f"bidder {self.id}: adjusted ecpm ctr * bid / (1 - cont) must be finite")
+            object.__setattr__(self, "bid", bid)
+            object.__setattr__(self, "ctr", ctr)
+            object.__setattr__(self, "cont", cont)
 
     @property
     def ecpm(self) -> float:
@@ -79,6 +97,17 @@ class Bidder:
         revenue, so this is the canonical ranking score.
         """
         return self.ecpm / (1.0 - self.cont)
+
+
+def _as_float(raw: object) -> float:
+    """A bidder field as a float: NaN for a bool or a non-number, and inf
+    for an int too large for a float."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        return math.nan
+    try:
+        return float(raw)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

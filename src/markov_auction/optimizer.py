@@ -20,9 +20,10 @@ strictly on both ecpm and adjusted ecpm.
 An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
 swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
-the survivors in canonical order with their ecpms and conts; each public
-solver is a thin wrapper that runs its body on it, and VCG pricing re-runs
-the bodies on it (``_resolve``) without building or sorting an instance.
+the survivors' positions in the instance in canonical order with their
+ecpms and conts.  Each solver body returns the ranks it picks from it and
+``_slate`` turns them into the caller's ``Assignment``; VCG re-solves read
+only the value of the picks, so they build no instance and no slate.
 """
 
 from __future__ import annotations
@@ -155,28 +156,20 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     return keep
 
 
-def _prune(
-    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int
-) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
-    """The ranked form for ``m`` slots: the m-skyband of the ads that
-    ``order`` lists from ``bidders`` in canonical order, as a list of
-    bidders with their ecpms and conts as float64 arrays.
-
-    The prune is skipped when every ad fits in the slots.  Every solver
-    body works on this form: ``fast`` on the arrays, ``dp`` and ``brute``
-    on them as lists.
-    """
+def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranked form of an instance for ``m`` slots: its cached canonical
+    ranking, pruned to the m-skyband unless every ad fits in the slots."""
+    order, ecpms, conts = inst.ranking
     if len(order) > m:
         keep = _skyband(ecpms, conts, m)
         if len(keep) < len(order):
             order, ecpms, conts = order[keep], ecpms[keep], conts[keep]
-    return [bidders[i] for i in order.tolist()], ecpms, conts
+    return order, ecpms, conts
 
 
-def _ranked(inst: AuctionInstance, m: int) -> tuple[list[Bidder], np.ndarray, np.ndarray]:
-    """The ranked form of an instance for ``m`` slots: its cached canonical
-    ranking, pruned to the m-skyband."""
-    return _prune(inst.bidders, *inst.ranking, m)
+def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -> Assignment:
+    """The slate of the given ranks of a ranked form of ``bidders``."""
+    return Assignment.from_bidders([bidders[i] for i in order[sorted(ranks)].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +186,19 @@ def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assi
     Raises:
         SizeLimitExceeded: when n > 22 or the requested slot count > 20.
     """
-    return _optimal(_brute, inst, slots)
+    return _slate(inst.bidders, *_run(_brute, inst, slots))
 
 
-def _brute(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> Assignment:
+def _brute(
+    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int
+) -> tuple[int, ...]:
     ecpms, conts = ecpms.tolist(), conts.tolist()
-    ids = [b.id for b in ranked]
+    ids = [bidders[i].id for i in order.tolist()]
     best_eff = 0.0
     best_ids: tuple[int, ...] = ()
     best_combo: tuple[int, ...] = ()
     for r in range(1, m + 1):
-        for combo in combinations(range(len(ranked)), r):
+        for combo in combinations(range(len(ids)), r):
             eff = 0.0
             for t in reversed(combo):
                 eff = ecpms[t] + conts[t] * eff
@@ -216,7 +211,7 @@ def _brute(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -
                 if cand < best_ids:
                     best_ids = cand
                     best_combo = combo
-    return Assignment.from_bidders([ranked[t] for t in best_combo])
+    return best_combo
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +234,12 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     O(c log slots) exact prune over the ``c`` ads the bound keeps, then
     O(survivors * slots) time and take/skip memory.
     """
-    return _optimal(_dp, inst, slots)
+    return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
 
 
-def _dp(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> Assignment:
+def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     ecpms, conts = ecpms.tolist(), conts.tolist()
-    n = len(ranked)
+    n = len(ecpms)
     take = [bytearray(m + 1) for _ in range(n)]
     below = [0.0] * (m + 1)
     for i in range(n - 1, -1, -1):
@@ -261,15 +256,15 @@ def _dp(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> A
             else:
                 here[r] = skipped
         below = here
-    chosen: list[Bidder] = []
+    chosen: list[int] = []
     r = m
     for i in range(n):
         if r and take[i][r]:
-            chosen.append(ranked[i])
+            chosen.append(i)
             r -= 1
             if conts[i] == 0.0:
                 break
-    return Assignment.from_bidders(chosen)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,8 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     Python for ``s`` survivors.  ``solve(method="fast")`` grows the same
     chain but builds only its last slate.
     """
-    return _optimal(_chain, inst, slots)
+    order, picks = _run(_BODIES["fast"], inst, slots)
+    return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
 
 
 def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
@@ -393,16 +389,6 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     return picks
 
 
-def _chain(ranked: list[Bidder], ecpms: np.ndarray, conts: np.ndarray, m: int) -> OptChain:
-    picks = _fast(ecpms, conts, m)
-    return OptChain(tuple(_slate(ranked, picks[:i]) for i in range(1, len(picks) + 1)))
-
-
-def _slate(ranked: list[Bidder], ranks: Sequence[int]) -> Assignment:
-    """The slate of the given ranks, in canonical order."""
-    return Assignment.from_bidders([ranked[t] for t in sorted(ranks)])
-
-
 def marginal_best_insert(
     inst: AuctionInstance,
     slate: Assignment,
@@ -437,21 +423,23 @@ def marginal_best_insert(
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# Solver bodies, each run on a ranked form for its slot count.
-_BODIES: dict[str, Callable[[list[Bidder], np.ndarray, np.ndarray, int], Assignment]] = {
+# Solver bodies, each run on the bidders, a ranked form of them and its slot
+# count; only brute reads the bidders, for the ids of its tie rule.
+_BODIES: dict[str, Callable[[Sequence[Bidder], np.ndarray, np.ndarray, np.ndarray, int], Sequence[int]]] = {
     "brute": _brute,
-    "dp": _dp,
-    "fast": lambda ranked, ecpms, conts, m: _slate(ranked, _fast(ecpms, conts, m)),
+    "dp": lambda bidders, order, ecpms, conts, m: _dp(ecpms, conts, m),
+    "fast": lambda bidders, order, ecpms, conts, m: _fast(ecpms, conts, m),
 }
 
 
-def _optimal(body: Callable, inst: AuctionInstance, slots: int | None) -> Assignment | OptChain:
-    """Run a solver body on the instance's ranked form for its effective
-    slot count; exhaustive search first checks the instance's size."""
+def _run(body: Callable, inst: AuctionInstance, slots: int | None) -> tuple[np.ndarray, Sequence[int]]:
+    """The ranked form's ``order`` and the ranks a solver body picks from it
+    for the effective slot count, after exhaustive search's size check."""
     if body is _brute:
         _check_brute_size(inst, slots)
     m = effective_slots(inst, slots)
-    return body(*_ranked(inst, m), m)
+    order, ecpms, conts = _ranked(inst, m)
+    return order, body(inst.bidders, order, ecpms, conts, m)
 
 
 def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -> Assignment:
@@ -460,14 +448,4 @@ def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -
         body = _BODIES[method]
     except KeyError:
         raise ValueError(f"unknown solver {method!r}; expected one of {sorted(_BODIES)}")
-    return _optimal(body, inst, slots)
-
-
-def _resolve(
-    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int, method: str
-) -> Assignment:
-    """The named solver's slate of at most ``m`` ads from the ads that
-    ``order`` lists from ``bidders`` in canonical order, with their scores,
-    re-pruned to its m-skyband first; no instance is built and nothing is
-    sorted."""
-    return _BODIES[method](*_prune(bidders, order, ecpms, conts, m), m)
+    return _slate(inst.bidders, *_run(body, inst, slots))

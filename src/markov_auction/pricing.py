@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _ranked, _resolve, effective_slots, solve
+from .optimizer import _BODIES, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -70,9 +70,10 @@ def vcg_prices(
     ranking is pruned to its (slots + 1)-skyband: an ad that ``slots + 1``
     others beat on both ecpm and adjusted ecpm is still beaten ``slots``
     times once any one winner is removed, so it wins no slot in any of
-    them.  Each winner's re-solve runs on those ranked survivors minus that
-    winner, which keep their canonical order, re-pruned to the skyband of
-    the re-solve's slot count; it builds no instance and sorts nothing.
+    them.  Each winner's re-solve runs the solver body directly on those
+    ranked survivors minus that winner, which keep their canonical order,
+    and reads the value of its picks with ``evaluate``'s Horner expression;
+    it builds no instance, sorts nothing and builds no ``Assignment``.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -83,22 +84,24 @@ def vcg_prices(
     """
     slate = solve(inst, slots, solver)
     m = effective_slots(inst, slots)
-    survivors, ecpms, conts = _ranked(inst, m + 1)
-    resolve_slots = min(m, len(survivors) - 1)
-    rank_of = {b.id: r for r, b in enumerate(survivors)}
-    ranks = np.arange(len(survivors))
+    order, ecpms, conts = _ranked(inst, m + 1)
+    resolve_slots = min(m, len(order) - 1)
+    rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
+    ranks = np.arange(len(order))
+    body = _BODIES[solver]
     winners: list[WinnerPrice] = []
     for rank, bidder_id in enumerate(slate.order):
         click = slate.click_probs[rank]
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
         r = rank_of[bidder_id]
-        value = click * survivors[r].bid
+        value = click * inst.bidders[order[r]].bid
         others_alongside = slate.efficiency - value
         rest = ranks != r
-        others_alone = _resolve(
-            survivors, ranks[rest], ecpms[rest], conts[rest], resolve_slots, solver
-        ).efficiency
+        e, q = ecpms[rest], conts[rest]
+        others_alone = 0.0
+        for t in sorted(body(inst.bidders, order[rest], e, q, resolve_slots), reverse=True):
+            others_alone = float(e[t]) + float(q[t]) * others_alone
         payment = others_alone - others_alongside
         winners.append(
             WinnerPrice(

@@ -145,6 +145,12 @@ class TestSweep:
                              "--from", bounds[0], "--to", bounds[1])
         assert code == 2 and out == "" and "must be finite" in err
 
+    def test_zero_steps_is_a_usage_error(self, capsys, page_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", page_file, "--bidder", "a", "--from", "0", "--to", "1", "--steps", "0"])
+        assert exc.value.code == 2
+        assert "--steps" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_worked_ratio(self, capsys, page_file):
@@ -255,6 +261,67 @@ class TestInputErrors:
         path.write_text("id,bid,ctr,cont\na,cheap,0.5,0.5\n")
         code, _, err = run(capsys, "assign", str(path), "--format", "csv", "--slots", "1")
         assert code == 2 and "bidder 'a' (line 2)" in err
+
+
+# One bad bidder, written as a JSON value and as CSV text, and what the
+# error must say about it; the rest of the row is valid.
+BID = "'bid' must be a number in [0.0, inf)"
+CTR = "'ctr' must be a number in (0.0, 1.0]"
+CONT = "'cont' must be a number in [0.0, 1.0)"
+BAD_FIELDS = [
+    ("bool", {"bid": True}, {"bid": "true"}, BID),
+    ("string", {"ctr": "0.5"}, {"ctr": "half"}, CTR),
+    ("null", {"cont": None}, {"cont": ""}, CONT),
+    ("400-digit-int", {"bid": 10**400}, {"bid": "1" + "0" * 400}, BID),
+    ("nan", {"bid": float("nan")}, {"bid": "nan"}, BID),
+    ("inf", {"ctr": float("inf")}, {"ctr": "inf"}, CTR),
+    ("bid-below", {"bid": -5e-324}, {"bid": "-5e-324"}, BID),
+    ("ctr-zero", {"ctr": 0.0}, {"ctr": "0"}, CTR),
+    ("ctr-above", {"ctr": 1.0000000000000002}, {"ctr": "1.0000000000000002"}, CTR),
+    ("cont-below", {"cont": -5e-324}, {"cont": "-5e-324"}, CONT),
+    ("cont-one", {"cont": 1}, {"cont": "1"}, CONT),
+    (
+        "adjusted-ecpm-overflow",
+        {"bid": 1.7e308, "ctr": 1, "cont": 0.9},
+        {"bid": "1.7e308", "ctr": "1", "cont": "0.9"},
+        "adjusted ecpm ctr * bid / (1 - cont) must be finite",
+    ),
+]
+
+COMMANDS = [
+    ("assign",),
+    ("price",),
+    ("compare",),
+    ("sweep", "--bidder", "ok", "--from", "0", "--to", "1", "--steps", "2"),
+]
+
+
+class TestBadFieldTable:
+    """Every field defect exits 2 with one error line naming the file's
+    bidder and row, from every command and both formats."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case, json_fields, csv_fields, message", BAD_FIELDS, ids=[c[0] for c in BAD_FIELDS])
+    def test_exits_2_naming_the_bidder(self, capsys, tmp_path, fmt, case, json_fields, csv_fields, message):
+        good = {"id": "ok", "bid": 2.0, "ctr": 0.5, "cont": 0.5}
+        if fmt == "json":
+            bad = {**good, "id": "bad", **json_fields}
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"slots": 3, "bidders": [good, bad]}))
+            where, extra, commands = "(entry 1)", (), COMMANDS
+        else:
+            bad = {**{k: str(v) for k, v in good.items()}, "id": "bad", **csv_fields}
+            rows = [",".join(str(r[k]) for k in ("id", "bid", "ctr", "cont")) for r in (good, bad)]
+            path = tmp_path / "bad.csv"
+            path.write_text("id,bid,ctr,cont\n" + "\n".join(rows) + "\n")
+            # sweep takes no --slots, so it cannot read a CSV table.
+            where, extra, commands = "(line 3)", ("--format", "csv", "--slots", "3"), COMMANDS[:3]
+        for command, *rest in commands:
+            code, out, err = run(capsys, command, str(path), *extra, *rest)
+            assert (code, out) == (2, ""), (command, err)
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert f"bidder 'bad' {where}" in err and message in err
+            assert "Traceback" not in err
 
 
 class TestSizeLimit:

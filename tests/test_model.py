@@ -45,6 +45,28 @@ class TestBidderValidation:
         with pytest.raises(ValueError, match="bid"):
             Bidder(0, float("inf"), 0.5, 0.5)
 
+    @pytest.mark.parametrize("raw", ["2", True, None], ids=["string", "bool", "none"])
+    @pytest.mark.parametrize("field", ["bid", "ctr", "cont"])
+    def test_rejects_non_numbers(self, field, raw):
+        fields = {"bid": 1.0, "ctr": 0.5, "cont": 0.5, field: raw}
+        with pytest.raises(ValueError, match=f"'{field}' must be a number"):
+            Bidder(0, **fields)
+
+    def test_stores_python_floats(self):
+        b = Bidder(0, 2, np.float64(0.5), np.float64(0.25))
+        assert (b.bid, b.ctr, b.cont) == (2.0, 0.5, 0.25)
+        assert all(type(v) is float for v in (b.bid, b.ctr, b.cont))
+
+    def test_int_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(ValueError, match=r"'bid' must be a number in \[0.0, inf\)"):
+            Bidder(0, 10**400, 0.5, 0.5)
+
+    def test_rejects_overflowing_adjusted_ecpm(self):
+        # ecpm 1.7e308 is finite; divided by 1 - cont = 0.1 it is not.
+        with pytest.raises(ValueError, match="adjusted ecpm"):
+            Bidder(0, 1.7e308, 1.0, 0.9)
+        assert Bidder(0, 1.7e308, 1.0, 0.0).adjusted_ecpm == 1.7e308
+
     def test_rejects_bad_id(self):
         with pytest.raises(ValueError, match="id"):
             Bidder(-1, 1.0, 0.5, 0.5)

@@ -138,9 +138,9 @@ def assert_ranked_is_reference(inst, slots_list):
     ecpms, conts = [b.ecpm for b in canon], [b.cont for b in canon]
     counts = beaten_counts(ecpms, conts)
     for m in slots_list:
-        ranked, got_ecpms, got_conts = _ranked(inst, m)
+        order, got_ecpms, got_conts = _ranked(inst, m)
         keep = beaten_fewer_than(ecpms, conts, m, counts) if inst.n > m else range(inst.n)
-        assert [b.id for b in ranked] == [canon[t].id for t in keep]
+        assert [inst.bidders[i].id for i in order] == [canon[t].id for t in keep]
         assert got_ecpms.tolist() == [ecpms[t] for t in keep]
         assert got_conts.tolist() == [conts[t] for t in keep]
 
@@ -174,8 +174,9 @@ class TestRanked:
         bidders = [Bidder(2**70, 1.0, 1.0, 0.0), Bidder(2**63 + 1, 0.5, 1.0, 0.5), Bidder(2**63, 1.0, 0.5, 0.5)]
         expected = [2**63, 2**63 + 1, 2**70]
         assert [b.id for b in canonical_order(bidders)] == expected
-        ranked, _, _ = _ranked(AuctionInstance(tuple(bidders), 1), 1)
-        assert [b.id for b in ranked] == expected
+        inst = AuctionInstance(tuple(bidders), 1)
+        order, _, _ = _ranked(inst, 1)
+        assert [inst.bidders[i].id for i in order] == expected
 
     def test_negative_zero_bid_ties_with_zero(self):
         # -0.0 is a valid bid; its adjusted ecpm equals 0.0, so the id decides.
