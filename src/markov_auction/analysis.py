@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .model import Assignment, AuctionInstance, evaluate
 from .optimizer import brute_force_optimal, effective_slots, solve
 
@@ -143,7 +145,9 @@ def compare_gsp(
     order.  The ratio is 1.0 when both values are 0 (nothing to rank).
     """
     m = effective_slots(inst, slots)
-    by_ecpm = sorted(inst.bidders, key=lambda b: (-b.ecpm, b.id))[:m]
+    order, ecpms, _ = inst.ranking
+    top = order[ecpms >= np.partition(ecpms, -m)[-m]].tolist() if m else []
+    by_ecpm = sorted((inst.bidders[i] for i in top), key=lambda b: (-b.ecpm, b.id))[:m]
     gsp = Assignment.from_bidders(by_ecpm)
     best = solve(inst, slots, solver)
     ratio = gsp.efficiency / best.efficiency if best.efficiency > 0.0 else 1.0

@@ -235,6 +235,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         raise InputError(f"bid grid must satisfy 0 <= from <= to, got {ns.start} .. {ns.stop}")
     dense = named.dense(ns.bidder)
     grid = [float(x) for x in np.linspace(ns.start, ns.stop, ns.steps)]
+    swept = named.instance.bidder(dense)
+    for bid in grid:
+        _bidder(dense, ns.bidder, f"bid {bid!r}", bid, swept.ctr, swept.cont)
     report = sweep_bid(named.instance, dense, grid)
     for pt in report.points:
         _emit(

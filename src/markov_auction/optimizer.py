@@ -22,8 +22,8 @@ swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
 the survivors' positions in the instance in canonical order with their
 ecpms and conts.  Each solver body returns the ranks it picks from it and
-``_slate`` turns them into the caller's ``Assignment``; VCG re-solves read
-only the value of the picks, so they build no instance and no slate.
+``_slate`` turns them into the caller's ``Assignment``; VCG pricing reads
+only values (``dp``'s from its resumable value rows) and builds no slate.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
 
 _BRUTE_MAX_BIDDERS = 22
 _BRUTE_MAX_SLOTS = 20
+_DP_BLOCK_CELLS = 1 << 16
 
 
 class SizeLimitExceeded(ValueError):
@@ -232,38 +233,51 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     be clicked.  The recursion runs over the k-skyband survivors, so the
     cost is an O(n log n) numpy sort, an O(n) prune bound plus an
     O(c log slots) exact prune over the ``c`` ads the bound keeps, then
-    O(survivors * slots) time and take/skip memory.
+    O(survivors * slots) time; the backtrack re-reads the value rows.
     """
     return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
 
 
-def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
-    ecpms, conts = ecpms.tolist(), conts.tolist()
-    n = len(ecpms)
-    take = [bytearray(m + 1) for _ in range(n)]
-    below = [0.0] * (m + 1)
-    for i in range(n - 1, -1, -1):
-        e_i = ecpms[i]
-        q_i = conts[i]
-        row = take[i]
-        here = [0.0] * (m + 1)
+def _dp_rows(ecpms: Sequence[float], conts: Sequence[float], m: int, below: list[float]) -> list[list[float]]:
+    """The value rows ``best(i, 0..m)`` of the ranks, top first, then ``below``,
+    the row under them; each row is built from the row under it alone."""
+    rows = [below]
+    for e_i, q_i in zip(reversed(ecpms), reversed(conts)):
+        below = rows[-1]
+        here = below.copy()
         for r in range(1, m + 1):
             taken = below[r - 1] * q_i + e_i
-            skipped = below[r]
-            if taken > skipped:
+            if taken > below[r]:
                 here[r] = taken
-                row[r] = 1
-            else:
-                here[r] = skipped
-        below = here
-    chosen: list[int] = []
-    r = m
-    for i in range(n):
-        if r and take[i][r]:
-            chosen.append(i)
-            r -= 1
-            if conts[i] == 0.0:
-                break
+        rows.append(here)
+    rows.reverse()
+    return rows
+
+
+def _dp_marks(ecpms: Sequence[float], conts: Sequence[float], m: int, below: list[float] | None = None) -> list[list[float]]:
+    """``below`` (by default zeros: no ads left), then the top row of each
+    block of at most 2**16 values, bottom block first; only these are kept."""
+    stride = max(1, _DP_BLOCK_CELLS // (m + 1))
+    marks = [[0.0] * (m + 1) if below is None else below]
+    for lo in range(stride * ((len(ecpms) - 1) // stride), -1, -stride):
+        marks.append(_dp_rows(ecpms[lo : lo + stride], conts[lo : lo + stride], m, marks[-1])[0])
+    return marks
+
+
+def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
+    ecpms, conts = ecpms.tolist(), conts.tolist()
+    stride = max(1, _DP_BLOCK_CELLS // (m + 1))
+    # The row under each block of ranks, top block first, to rebuild it from.
+    under = _dp_marks(ecpms[stride:], conts[stride:], m)[::-1]
+    chosen, r = [], m
+    for lo, base in zip(range(0, len(ecpms), stride), under):
+        e, q = ecpms[lo : lo + stride], conts[lo : lo + stride]
+        for i, e_i, q_i, below in zip(range(lo, lo + stride), e, q, _dp_rows(e, q, m, base)[1:]):
+            if below[r - 1] * q_i + e_i > below[r]:
+                chosen.append(i)
+                r -= 1
+                if not r or q_i == 0.0:
+                    return chosen
     return chosen
 
 

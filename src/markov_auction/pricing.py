@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _BODIES, _ranked, effective_slots, solve
+from .optimizer import _BODIES, _dp_marks, _dp_rows, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -64,16 +64,16 @@ def vcg_prices(
 
         payment_i = value(best slate without i) - (value(winning slate) - v_i)
 
-    One solver run for the slate plus one per winner — at most
-    ``slots + 1`` invocations, all on the instance's one cached ranking.
-    The slate is a plain ``solve`` of the instance.  For the re-solves the
-    ranking is pruned to its (slots + 1)-skyband: an ad that ``slots + 1``
-    others beat on both ecpm and adjusted ecpm is still beaten ``slots``
-    times once any one winner is removed, so it wins no slot in any of
-    them.  Each winner's re-solve runs the solver body directly on those
-    ranked survivors minus that winner, which keep their canonical order,
-    and reads the value of its picks with ``evaluate``'s Horner expression;
-    it builds no instance, sorts nothing and builds no ``Assignment``.
+    The slate is a plain ``solve``.  The re-solves run on the cached
+    ranking pruned to the (slots + 1)-skyband: an ad ``slots + 1`` others
+    beat on both ecpm and adjusted ecpm is still beaten ``slots`` times
+    without any one winner.  Removing the winner at rank ``p`` leaves the
+    take/skip value rows under ``p`` as they are, so ``dp`` builds them once
+    and resumes them from the row under each winner over ranks ``p-1 .. 0``;
+    its top value is bit-equal to the Horner sum of a full re-solve's picks.
+    ``brute`` (the reference) and ``fast`` (which can pick another slate
+    of equal value, whose sum may differ in the last ulp) run their solver
+    body per winner on the survivors without it and sum its picks' values.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -83,26 +83,35 @@ def vcg_prices(
             for exhaustive search, judged before the prune.
     """
     slate = solve(inst, slots, solver)
+    if not slate.order:
+        return slate, PriceSchedule(())
     m = effective_slots(inst, slots)
     order, ecpms, conts = _ranked(inst, m + 1)
-    resolve_slots = min(m, len(order) - 1)
+    m = min(m, len(order) - 1)  # the slots of each re-solve
     rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
-    ranks = np.arange(len(order))
-    body = _BODIES[solver]
+    ranks = [rank_of[bidder_id] for bidder_id in slate.order]
+    if solver == "dp":
+        e, q, deep = ecpms.tolist(), conts.tolist(), max(ranks) + 1
+        rows = _dp_rows(e[:deep], q[:deep], m, _dp_marks(e[deep:], q[deep:], m)[-1])
+
+        def others_alone(r: int) -> float:
+            return _dp_rows(e[:r], q[:r], m, rows[r + 1])[0][m]
+    else:
+        body, everyone = _BODIES[solver], np.arange(len(order))
+
+        def others_alone(r: int) -> float:
+            rest = everyone != r
+            e, q = ecpms[rest], conts[rest]
+            value = 0.0
+            for t in sorted(body(inst.bidders, order[rest], e, q, m), reverse=True):
+                value = float(e[t]) + float(q[t]) * value
+            return value
     winners: list[WinnerPrice] = []
-    for rank, bidder_id in enumerate(slate.order):
-        click = slate.click_probs[rank]
+    for bidder_id, click, r in zip(slate.order, slate.click_probs, ranks):
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
-        r = rank_of[bidder_id]
         value = click * inst.bidders[order[r]].bid
-        others_alongside = slate.efficiency - value
-        rest = ranks != r
-        e, q = ecpms[rest], conts[rest]
-        others_alone = 0.0
-        for t in sorted(body(inst.bidders, order[rest], e, q, resolve_slots), reverse=True):
-            others_alone = float(e[t]) + float(q[t]) * others_alone
-        payment = others_alone - others_alongside
+        payment = others_alone(r) - (slate.efficiency - value)
         winners.append(
             WinnerPrice(
                 bidder_id=bidder_id,

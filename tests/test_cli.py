@@ -145,6 +145,15 @@ class TestSweep:
                              "--from", bounds[0], "--to", bounds[1])
         assert code == 2 and out == "" and "must be finite" in err
 
+    def test_grid_point_breaking_a_rule_names_the_file_bidder(self, capsys, tmp_path):
+        # At bid 1e308, g's adjusted ecpm 0.5 * 1e308 / 0.2 overflows.
+        doc = {"slots": 2, "bidders": [PAGE_DOC["bidders"][0], {"id": "g", "bid": 1.0, "ctr": 0.5, "cont": 0.8}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", str(path), "--bidder", "g", "--from", "0", "--to", "1e308", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: bidder 'g' (bid 1e+308): adjusted ecpm ctr * bid / (1 - cont) must be finite\n"
+
     def test_zero_steps_is_a_usage_error(self, capsys, page_file):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", page_file, "--bidder", "a", "--from", "0", "--to", "1", "--steps", "0"])

@@ -5,15 +5,18 @@ a keyed sort and a quadratic count; property tests check that
 solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
-winner.  An instance keeps its ranking once computed; calls on a ranked
-instance must match the same calls each made on a fresh equal one.
+winner; dp's table pricing is checked against it at each edge of the
+table, and dp's value-row blocks must not change a slate or a price.  An
+instance keeps its ranking once computed; calls on a ranked instance must
+match the same calls each made on a fresh equal one, and the GSP slate
+read off the ranking must match a keyed sort of every bidder.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_bidders
-from markov_auction import AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
+from markov_auction import Assignment, AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
 from markov_auction import optimizer
 from markov_auction.optimizer import _ranked, _skyband
 
@@ -45,6 +48,12 @@ def tie_grid_instance(rng):
     conts = rng.choice([0.0, 0.5, 0.75], n)
     bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
     return AuctionInstance(bidders, int(rng.integers(1, 5)))
+
+
+def with_permuted_ids(rng, inst):
+    """The instance with ids out of input order, so no tie rule can lean on it."""
+    ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
+    return AuctionInstance(tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots)
 
 
 def quantized_instance(rng, slots):
@@ -149,13 +158,7 @@ class TestRanked:
     def test_tie_grid(self):
         rng = np.random.default_rng(44)
         for _ in range(300):
-            inst = tie_grid_instance(rng)
-            # Ids out of input order, so the tie rule cannot lean on it.
-            ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
-            inst = AuctionInstance(
-                tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots
-            )
-            assert_ranked_is_reference(inst, (1, 2, 3, 4))
+            assert_ranked_is_reference(with_permuted_ids(rng, tie_grid_instance(rng)), (1, 2, 3, 4))
 
     def test_quantized(self):
         rng = np.random.default_rng(45)
@@ -221,6 +224,98 @@ class TestResolvesOnRankedSurvivors:
         for _ in range(8):
             inst = quantized_instance(rng, slots)
             assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
+
+
+def winner_ranks(inst):
+    """The dp winners' ranks among the ads its re-solves run on (the
+    (slots + 1)-skyband), and how many ads those are."""
+    order, _, _ = _ranked(inst, min(inst.slots, inst.n) + 1)
+    ids = [inst.bidders[i].id for i in order.tolist()]
+    return [ids.index(bidder_id) for bidder_id in solve(inst).order], len(ids)
+
+
+def assert_table_prices(inst):
+    assert ranked_prices(inst, "dp") == rebuilt_prices(inst, "dp")
+
+
+class TestTablePricing:
+    """dp prices every winner from one value table, resumed from the row
+    under each winner; each edge of the table against one public solve per
+    winner on a rebuilt instance."""
+
+    def test_winner_at_rank_zero(self):
+        bidders = [Bidder(0, 4.0, 0.5, 0.5), Bidder(1, 2.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.0)]
+        bidders += [Bidder(3, 0.4, 0.5, 0.0), Bidder(4, 0.2, 0.5, 0.0)]
+        inst = AuctionInstance(tuple(bidders), 2)
+        assert winner_ranks(inst) == ([0, 1], 3)
+        assert_table_prices(inst)
+
+    def test_winner_at_last_survivor_rank(self):
+        # Three twins of adjusted ecpm 10 over a cont-0 ad of ecpm 3; the
+        # last two ads are beaten four times and pruned.
+        bidders = [Bidder(i, 2.0, 0.5, 0.9) for i in range(3)] + [Bidder(3, 6.0, 0.5, 0.0)]
+        bidders += [Bidder(4, 0.2, 0.5, 0.5), Bidder(5, 0.2, 0.5, 0.5)]
+        inst = AuctionInstance(tuple(bidders), 2)
+        ranks, survivors = winner_ranks(inst)
+        assert survivors == 4 and ranks[-1] == 3
+        assert_table_prices(inst)
+
+    def test_zero_continuation_winner_above_other_survivors(self):
+        # The cont-0 winner ends the slate with a slot to spare; two
+        # survivors rank below it and the last ad is pruned.
+        bidders = [Bidder(0, 2.0, 0.5, 0.5), Bidder(1, 3.0, 0.5, 0.0), Bidder(2, 1.0, 0.5, 0.5)]
+        bidders += [Bidder(3, 0.8, 0.5, 0.2), Bidder(4, 0.1, 0.5, 0.0)]
+        inst = AuctionInstance(tuple(bidders), 3)
+        assert solve(inst).order == (0, 1)
+        assert winner_ranks(inst) == ([0, 1], 4)
+        assert_table_prices(inst)
+
+    def test_nothing_pruned(self):
+        # n <= slots + 1, so every ad survives and each re-solve has n - 1 slots.
+        rng = np.random.default_rng(56)
+        for _ in range(300):
+            bidders = tie_grid_instance(rng).bidders
+            inst = AuctionInstance(bidders, max(1, len(bidders) + int(rng.integers(-1, 3))))
+            assert winner_ranks(inst)[1] == inst.n
+            assert_table_prices(inst)
+
+    @pytest.mark.parametrize("bid", (0.0, 1.0, 2.0))
+    @pytest.mark.parametrize("cont", (0.0, 0.5))
+    @pytest.mark.parametrize("slots", (1, 3))
+    def test_single_bidder(self, bid, cont, slots):
+        assert_table_prices(AuctionInstance((Bidder(7, bid, 0.5, cont),), slots))
+
+    @pytest.mark.parametrize("slots", (1, 3, 10))
+    def test_quantized(self, slots):
+        rng = np.random.default_rng(57 + slots)
+        for _ in range(10):
+            assert_table_prices(quantized_instance(rng, slots))
+
+
+class TestDpBlocks:
+    """Past one block of value rows, dp keeps only the row under each block
+    and rebuilds the rest; the block size changes no slate and no price."""
+
+    @pytest.mark.parametrize("cells", (1, 7, 40))
+    def test_block_size_is_invisible(self, monkeypatch, cells):
+        rng = np.random.default_rng(61)
+        instances = [tie_grid_instance(rng) for _ in range(200)]
+        instances += [quantized_instance(rng, slots) for slots in (1, 3, 10)]
+        expected = [outcome(inst, "dp") for inst in instances]
+        monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", cells)
+        assert [outcome(inst, "dp") for inst in instances] == expected
+
+
+class TestGspFromRanking:
+    def test_tie_grid_permuted_ids(self):
+        rng = np.random.default_rng(62)
+        for _ in range(600):
+            inst = with_permuted_ids(rng, tie_grid_instance(rng))
+            for slots in range(1, 5):
+                by_ecpm = sorted(inst.bidders, key=lambda b: (-b.ecpm, b.id))[:slots]
+                report = compare_gsp(inst, slots)
+                assert report.gsp_order == tuple(b.id for b in by_ecpm)
+                assert report.gsp_efficiency == Assignment.from_bidders(by_ecpm).efficiency
 
 
 def every_call(instance, methods):
