@@ -228,7 +228,7 @@ def _cmd_price(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, None)
+    named = load_instance(ns.file, ns.format, ns.slots)
     if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
         raise InputError(f"bid grid bounds must be finite, got {ns.start} .. {ns.stop}")
     if ns.start < 0.0 or ns.stop < ns.start:
@@ -238,7 +238,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     swept = named.instance.bidder(dense)
     for bid in grid:
         _bidder(dense, ns.bidder, f"bid {bid!r}", bid, swept.ctr, swept.cont)
-    report = sweep_bid(named.instance, dense, grid)
+    report = sweep_bid(named.instance, dense, grid, solver=ns.solver)
     for pt in report.points:
         _emit(
             {
@@ -266,7 +266,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
     named = load_instance(ns.file, ns.format, ns.slots)
-    report = compare_gsp(named.instance)
+    report = compare_gsp(named.instance, solver=ns.solver)
     _emit(
         {
             "type": "comparison",
@@ -339,13 +339,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _add_file_args(sub: argparse.ArgumentParser, with_solver: bool, with_slots: bool) -> None:
+def _add_file_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", help="instance file")
     sub.add_argument("--format", choices=("json", "csv"), default="json", help="file format")
-    if with_slots:
-        sub.add_argument("--slots", type=_positive_int, default=None, help="override slot count")
-    if with_solver:
-        sub.add_argument("--solver", choices=("brute", "dp", "fast"), default="dp")
+    sub.add_argument("--slots", type=_positive_int, default=None, help="override slot count")
+    sub.add_argument("--solver", choices=("brute", "dp", "fast"), default="dp")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,15 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("assign", help="compute the optimal slate")
-    _add_file_args(p, with_solver=True, with_slots=True)
+    _add_file_args(p)
     p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("price", help="optimal slate plus VCG payments")
-    _add_file_args(p, with_solver=True, with_slots=True)
+    _add_file_args(p)
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("sweep", help="re-solve across a grid of bids for one bidder")
-    _add_file_args(p, with_solver=False, with_slots=False)
+    _add_file_args(p)
     p.add_argument("--bidder", required=True, help="id of the bidder to sweep")
     p.add_argument("--from", dest="start", type=float, required=True, help="first bid")
     p.add_argument("--to", dest="stop", type=float, required=True, help="last bid")
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="ecpm ranking versus the optimizer")
-    _add_file_args(p, with_solver=False, with_slots=True)
+    _add_file_args(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench", help="time a solver on a synthetic instance")

@@ -7,7 +7,7 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 * ``brute_force_optimal`` enumerates every subset (small instances only),
 * ``dp_optimal`` runs a take/skip recursion down the canonical order,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
-  best ad per step with one vectorised scan of every gap of the slate.
+  best ad per step; one vectorised pass scores each gap of the slate once.
 
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappushpop
+from heapq import heapify, heappushpop
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -125,6 +125,13 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     would drop them too, and they never enter the heap, so the loop over
     the rest keeps exactly the same ranks.  Below ``4 * m`` ads there is no
     checkpoint and the loop sees every ad.
+
+    Records, candidates whose ecpm is at least every earlier one's, are
+    kept too, as no floor exceeds them.  The first candidate that is not
+    one is the first whose ecpm falls below its predecessor's.  The loop
+    starts at its group, with the heap seeded by one ``np.partition`` with
+    the m largest ecpms before that group; with no such candidate, no loop
+    runs.
     """
     ecpms = np.asarray(ecpms, dtype=float)
     adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
@@ -142,11 +149,22 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
             candidate[block] = ecpms[block] >= bound
         checkpoint *= 2
     ranks = candidate.nonzero()[0]
-    heap = [-math.inf] * m
-    keep: list[int] = []
+    cand_e = ecpms[ranks]
+    drops = (cand_e[1:] < cand_e[:-1]).nonzero()[0]
+    if not len(drops):
+        return ranks.tolist()
+    first = int(drops[0]) + 1
+    cand_adj = adjs[ranks]
+    # Resume at the start of that candidate's group, with the heap the
+    # loop would hold there: the m largest ecpms before it, padded.
+    resume = int((cand_adj[: first + 1] == cand_adj[first]).argmax())
+    heap = (np.partition(cand_e[:resume], resume - m)[resume - m :] if resume > m else cand_e[:resume]).tolist()
+    heap += [-math.inf] * (m - len(heap))
+    heapify(heap)
+    keep = ranks[:resume].tolist()
     group_adj = None
     floor = -math.inf
-    for t, e, adj in zip(ranks.tolist(), ecpms[ranks].tolist(), adjs[ranks].tolist()):
+    for t, e, adj in zip(ranks[resume:].tolist(), cand_e[resume:].tolist(), cand_adj[resume:].tolist()):
         if adj != group_adj:
             group_adj = adj
             floor = heap[0]
@@ -231,9 +249,9 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     Exact ties prefer "skip", so zero-value ads never pad the slate, and
     the backtrack stops at an ad with ``cont == 0``: nothing below it can
     be clicked.  The recursion runs over the k-skyband survivors, so the
-    cost is an O(n log n) numpy sort, an O(n) prune bound plus an
-    O(c log slots) exact prune over the ``c`` ads the bound keeps, then
-    O(survivors * slots) time; the backtrack re-reads the value rows.
+    cost is an O(n log n) numpy sort, an O(n) prune bound and records
+    pass plus an O(c log slots) exact prune over the ``c`` ads they leave,
+    then O(survivors * slots) time; the backtrack re-reads the value rows.
     """
     return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
 
@@ -351,18 +369,20 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
 
     Every optimal slate for ``i`` slots extends to one for ``i + 1`` slots,
     so the chain member for step ``i + 1`` is the best single insertion
-    into the current slate.  Each step scores every unchosen survivor in
-    the gap of the slate it falls into with one vectorised pass, the same
-    float expression ``_best_insert`` evaluates, and keeps the earliest gap
-    holding the best value, then the lowest rank of that gap holding its
-    best linear term.  Adding the gap's prefix value can round away an ulp
-    between ranks of one gap, so the rank is not taken from the summed
-    scores.  The chain stops when that rank gains nothing over the gap's
-    current term, judged without the prefix value, which can round the
-    summed score above the slate's value.  After the O(n log n) numpy sort
-    and the prune the cost is O(slots * s) numpy work and O(slots^2)
-    Python for ``s`` survivors.  ``solve(method="fast")`` grows the same
-    chain but builds only its last slate.
+    into the current slate.  An ad inserted into gap ``g`` is worth
+    ``base[g] + (ce[g] * e + cq[g] * q)`` (as in ``_best_insert``), so one
+    vectorised pass per step takes each gap's best linear term over its
+    unchosen survivors; rounding ``base + x`` never decreases as ``x``
+    grows, so adding ``base[g]`` gives the gap's best score.  The step
+    keeps the earliest gap holding the best value, then the lowest rank of
+    that gap holding its best linear term.  Adding the gap's prefix value
+    can round away an ulp between ranks of one gap, so the rank is not
+    taken from the summed scores.  The chain stops when that rank gains
+    nothing over the gap's current term, judged without the prefix value,
+    which can round the summed score above the slate's value.  After the
+    O(n log n) numpy sort and the prune the cost is O(slots * s) numpy
+    work and O(slots^2) Python for ``s`` survivors.  The same chain, with
+    only its last slate built, is ``solve(method="fast")``.
     """
     order, picks = _run(_BODIES["fast"], inst, slots)
     return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
@@ -371,35 +391,46 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
 def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     """The ranks the chain adds, one per step, in the order it adds them;
     the slate after step ``i`` is the first ``i`` of them, sorted."""
-    ecpm_list, cont_list = ecpms.tolist(), conts.tolist()
-    n = len(ecpm_list)
-    # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
-    gap = np.zeros(n, dtype=np.intp)
+    n = len(ecpms)
     chosen: list[int] = []
     picks: list[int] = []
+    # Members' scores in slate order; the slate's value from each one down.
+    chosen_e: list[float] = []
+    chosen_q: list[float] = []
+    eff_suffix = [0.0]
+    # Segment g runs over the ranks of gap g, then chosen[g]; the last
+    # segment has no member and is empty once the last rank is chosen.
+    starts, widths = [0], [n]
     for _ in range(m):
-        cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpm_list, cont_list)
         current = eff_suffix[0]
-        ce = np.array(cont_prefix)
-        cq = np.array([c * v for c, v in zip(cont_prefix, eff_suffix)])
-        # A gap no user reaches has ce == cq == 0, so its ranks score
-        # exactly the slate's current value.
-        base = np.array([p if c != 0.0 else current for c, p in zip(cont_prefix, eff_prefix)])
-        lin = ce[gap] * ecpms + cq[gap] * conts
-        score = base[gap] + lin
-        score[chosen] = -np.inf
-        best = int(np.argmax(score))
-        if score[best] <= current:
+        # Summed in the order of _prefix_tables, so bit-identical to them.
+        ce = np.multiply.accumulate([1.0, *chosen_q])
+        base = np.add.accumulate(np.concatenate(([0.0], ce[:-1] * chosen_e)))
+        cq = ce * eff_suffix
+        if ce[-1] == 0.0:
+            # A gap no user reaches has ce == cq == 0, so its ranks score
+            # exactly the slate's current value.
+            base = np.where(ce == 0.0, current, base)
+        lin = ce.repeat(widths) * ecpms + cq.repeat(widths) * conts
+        lin[chosen] = -np.inf
+        heads = starts if starts[-1] < n else starts[:-1]
+        score = base[: len(heads)] + np.maximum.reduceat(lin, heads)
+        g = int(score.argmax())
+        if score[g] <= current:
             break
-        g = int(gap[best])
-        lo = chosen[g - 1] + 1 if g > 0 else 0
-        hi = chosen[g] if g < len(chosen) else n
-        pos = lo + int(np.argmax(lin[lo:hi]))
+        lo = starts[g]
+        pos = lo + int(lin[lo : lo + widths[g]].argmax())
         if lin[pos] <= cq[g]:
             break
         chosen.insert(g, pos)
         picks.append(pos)
-        gap[pos + 1 :] += 1
+        chosen_e.insert(g, float(ecpms[pos]))
+        chosen_q.insert(g, float(conts[pos]))
+        eff_suffix.insert(g, 0.0)
+        for t in range(g, -1, -1):
+            eff_suffix[t] = chosen_e[t] + chosen_q[t] * eff_suffix[t + 1]
+        widths[g : g + 1] = [pos + 1 - lo, lo + widths[g] - pos - 1]
+        starts.insert(g + 1, pos + 1)
     return picks
 
 

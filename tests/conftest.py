@@ -1,4 +1,5 @@
-"""Shared fixtures: a worked three-bidder page and a random-instance factory."""
+"""Shared fixtures: a worked three-bidder page, a random-instance factory
+and the tie-heavy instance shapes the solver references run on."""
 
 from __future__ import annotations
 
@@ -26,6 +27,26 @@ def random_instance(
     n = int(rng.integers(min_n, max_n + 1))
     slots = int(rng.integers(1, max_slots + 1))
     return AuctionInstance(random_bidders(rng, n, cont_high), slots)
+
+
+def tie_grid_instance(rng):
+    n = int(rng.integers(1, 9))
+    bids = rng.choice([0.0, 1.0, 2.0, 4.0], n)
+    ctrs = rng.choice([0.25, 0.5, 1.0], n)
+    conts = rng.choice([0.0, 0.5, 0.75], n)
+    bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
+    return AuctionInstance(bidders, int(rng.integers(1, 5)))
+
+
+def quantized_instance(rng, slots):
+    """Shaped like production estimates: bids on a 0.05 grid, ctr and cont
+    on a 0.01 grid, cont 0 included."""
+    n = int(rng.integers(50, 501))
+    bids = rng.integers(1, 101, n) * 0.05
+    ctrs = rng.integers(1, 101, n) / 100.0
+    conts = rng.integers(0, 100, n) / 100.0
+    bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
+    return AuctionInstance(bidders, slots)
 
 
 @pytest.fixture

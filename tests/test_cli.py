@@ -171,6 +171,32 @@ class TestCompare:
         assert rec["efficiency_ratio"] == pytest.approx(0.88, abs=1e-9)
 
 
+SWEEP_GAMMA = ("--bidder", "gamma", "--from", "0", "--to", "12", "--steps", "4")
+
+
+class TestSolverAndSlotFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [("compare",), ("compare", "--slots", "3"), ("sweep", *SWEEP_GAMMA), ("sweep", "--slots", "3", *SWEEP_GAMMA)],
+        ids=["compare", "compare-3-slots", "sweep", "sweep-3-slots"],
+    )
+    def test_fast_agrees_with_dp_on_the_readme_page(self, capsys, tmp_path, args):
+        path = tmp_path / "page.json"
+        path.write_text(README_PAGE, encoding="utf-8")
+        argv = [args[0], str(path), *args[1:]]
+        dp = run(capsys, *argv, "--solver", "dp")
+        assert dp[0] == 0
+        assert run(capsys, *argv, "--solver", "fast") == dp
+        assert run(capsys, *argv) == dp
+
+    def test_sweep_slots_override(self, capsys, tmp_path):
+        path = tmp_path / "page.json"
+        path.write_text(README_PAGE, encoding="utf-8")
+        code, out, _ = run(capsys, "sweep", str(path), "--slots", "3", *SWEEP_GAMMA)
+        assert code == 0
+        assert [len(r["selected"]) for r in records(out)[:4]] == [2, 3, 3, 3]
+
+
 class TestBench:
     def test_record_shape_and_cross_check(self, capsys):
         code, out, _ = run(capsys, "bench", "--n", "50", "--k", "5", "--seed", "3")
@@ -353,6 +379,17 @@ class TestSizeLimit:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "price", str(path), "--solver", "brute")
+        assert code == 3 and out == "" and "error:" in err
+
+
+    def test_compare_brute_guard_exits_3(self, capsys, tmp_path):
+        doc = {"slots": 2, "bidders": [
+            {"id": f"b{i}", "bid": 1.0 + i, "ctr": 0.5, "cont": 0.5}
+            for i in range(30)
+        ]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compare", str(path), "--solver", "brute")
         assert code == 3 and out == "" and "error:" in err
 
 

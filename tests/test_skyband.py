@@ -15,7 +15,7 @@ read off the ranking must match a keyed sort of every bidder.
 import numpy as np
 import pytest
 
-from conftest import random_bidders
+from conftest import quantized_instance, random_bidders, tie_grid_instance
 from markov_auction import Assignment, AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
 from markov_auction import optimizer
 from markov_auction.optimizer import _ranked, _skyband
@@ -41,30 +41,10 @@ def beaten_fewer_than(ecpms, conts, m, counts=None):
     return [t for t, c in enumerate(counts) if c < m]
 
 
-def tie_grid_instance(rng):
-    n = int(rng.integers(1, 9))
-    bids = rng.choice([0.0, 1.0, 2.0, 4.0], n)
-    ctrs = rng.choice([0.25, 0.5, 1.0], n)
-    conts = rng.choice([0.0, 0.5, 0.75], n)
-    bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
-    return AuctionInstance(bidders, int(rng.integers(1, 5)))
-
-
 def with_permuted_ids(rng, inst):
     """The instance with ids out of input order, so no tie rule can lean on it."""
     ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
     return AuctionInstance(tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots)
-
-
-def quantized_instance(rng, slots):
-    """Shaped like production estimates: bids on a 0.05 grid, ctr and cont
-    on a 0.01 grid, cont 0 included."""
-    n = int(rng.integers(50, 501))
-    bids = rng.integers(1, 101, n) * 0.05
-    ctrs = rng.integers(1, 101, n) / 100.0
-    conts = rng.integers(0, 100, n) / 100.0
-    bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
-    return AuctionInstance(bidders, slots)
 
 
 class TestSkyband:
@@ -103,6 +83,52 @@ class TestSkyband:
         assert _skyband(ecpms, conts, 1) == [0, 1]
         assert _skyband(ecpms, conts, 2) == [0, 1]
         assert _skyband(ecpms, conts, 3) == [0, 1, 2]
+
+
+def checked_skyband(rows, slots_list):
+    """Scores of ads given as ``(bid, cont)`` with ctr 1, so the ecpm is the
+    bid and the adjusted ecpm ``bid / (1 - cont)``, after checking
+    ``_skyband`` against the quadratic count at each slot count; returns
+    the canonical ecpms and what ``_skyband`` keeps at one slot."""
+    ecpms, conts = scores([Bidder(i, bid, 1.0, cont) for i, (bid, cont) in enumerate(rows)])
+    for m in slots_list:
+        assert _skyband(ecpms, conts, m) == beaten_fewer_than(ecpms, conts, m)
+    return ecpms, _skyband(ecpms, conts, 1)
+
+
+class TestRecordsRule:
+    """An ad whose ecpm is at least every earlier ad's is never beaten, so
+    the exact loop starts at the group of the first ad that is not such a
+    record, with its heap seeded from the ecpms before that group."""
+
+    def test_record_prefix_then_dominated_ads(self):
+        rows = [(1.0, 0.9), (2.0, 0.75), (3.0, 0.5), (0.5, 0.8), (0.4, 0.5), (0.3, 0.0)]
+        assert checked_skyband(rows, range(1, 6)) == ([1.0, 2.0, 3.0, 0.5, 0.4, 0.3], [0, 1, 2])
+
+    def test_records_after_the_first_non_record(self):
+        rows = [(2.0, 0.8), (1.0, 0.875), (3.0, 0.5), (0.5, 0.9), (4.0, 0.0)]
+        assert checked_skyband(rows, range(1, 5)) == ([2.0, 1.0, 3.0, 0.5, 4.0], [0, 2, 4])
+
+    @pytest.mark.parametrize("lead", ([], [(0.5, 0.9375)]), ids=["group-at-rank-0", "after-a-record"])
+    def test_tie_group_straddles_the_first_non_record(self, lead):
+        # Adjusted ecpm 4 for the group of three: the ecpm-2 ad is a record,
+        # the next two are not, yet nobody beats them (equal adjusted ecpm).
+        rows = lead + [(2.0, 0.5), (1.0, 0.75), (0.5, 0.875), (0.25, 0.5)]
+        ecpms, keep = checked_skyband(rows, range(1, len(rows)))
+        assert ecpms[len(lead) :] == [2.0, 1.0, 0.5, 0.25]
+        assert keep == list(range(len(rows) - 1))
+
+    def test_ecpm_equal_to_the_running_maximum(self):
+        rows = [(2.0, 0.5), (2.0, 0.25), (1.0, 0.0), (2.0, 0.0)]
+        assert checked_skyband(rows, range(1, 4)) == ([2.0, 2.0, 2.0, 1.0], [0, 1, 2])
+
+    def test_record_prefix_shorter_than_m(self):
+        rows = [(3.0, 0.5), (1.0, 0.75), (2.0, 0.0), (0.5, 0.5), (0.25, 0.5)]
+        assert checked_skyband(rows, range(1, 5)) == ([3.0, 1.0, 2.0, 0.5, 0.25], [0])
+
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_single_candidate(self, m):
+        assert checked_skyband([(2.0, 0.5)], (m,)) == ([2.0], [0])
 
 
 def outcome(inst, method):
