@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -77,6 +77,19 @@ def _bidder(dense_id: int, name: str, where: str, bid: Any, ctr: Any, cont: Any)
         raise InputError(f"bidder {name!r} ({where}): {str(exc).partition(': ')[2]}") from None
 
 
+def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple[list[Bidder], list[str]]:
+    """The bidders of a file's ``(where, name, bid, ctr, cont)`` rows, with
+    dense ids in row order, and their names; a name may appear only once."""
+    dense: dict[str, int] = {}
+    bidders: list[Bidder] = []
+    for where, name, bid, ctr, cont in rows:
+        if name in dense:
+            raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
+        bidders.append(_bidder(len(dense), name, where, bid, ctr, cont))
+        dense[name] = len(dense)
+    return bidders, list(dense)
+
+
 def _csv_number(text: str) -> float | str:
     """``float(text)``, or the text itself, which ``Bidder`` rejects as no number."""
     try:
@@ -98,26 +111,21 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
     rows = doc.get("bidders")
     if not isinstance(rows, list):
         raise InputError(f"{path}: key 'bidders' must be a list")
-    names: list[str] = []
-    seen: set[str] = set()
-    bidders: list[Bidder] = []
-    for entry, row in enumerate(rows):
-        where = f"entry {entry}"
-        if not isinstance(row, dict):
-            raise InputError(f"{path}: bidder {where} must be an object, got {row!r}")
-        if "id" not in row:
-            raise InputError(f"{path}: bidder {where} is missing field 'id'")
-        name = row["id"]
-        if not isinstance(name, str):
-            name = str(name)
-        for field in ("bid", "ctr", "cont"):
-            if field not in row:
-                raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
-        if name in seen:
-            raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
-        bidders.append(_bidder(len(names), name, where, row["bid"], row["ctr"], row["cont"]))
-        names.append(name)
-        seen.add(name)
+
+    def fields() -> Iterable[tuple[str, str, Any, Any, Any]]:
+        for entry, row in enumerate(rows):
+            where = f"entry {entry}"
+            if not isinstance(row, dict):
+                raise InputError(f"{path}: bidder {where} must be an object, got {row!r}")
+            if "id" not in row:
+                raise InputError(f"{path}: bidder {where} is missing field 'id'")
+            name = str(row["id"])
+            for field in ("bid", "ctr", "cont"):
+                if field not in row:
+                    raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
+            yield where, name, row["bid"], row["ctr"], row["cont"]
+
+    bidders, names = _bidders(path, fields())
     if slots_override is not None:
         slots = slots_override
     else:
@@ -140,20 +148,15 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                 raise InputError(
                     f"{path}: CSV header must be exactly id,bid,ctr,cont, got {header!r}"
                 )
-            names: list[str] = []
-            seen: set[str] = set()
-            bidders: list[Bidder] = []
-            for line_no, row in enumerate(reader, start=2):
-                where = f"line {line_no}"
-                name = row["id"]
-                if name is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
-                    raise InputError(f"{path}: {where} has too few columns")
-                if name in seen:
-                    raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
-                bid, ctr, cont = (_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
-                bidders.append(_bidder(len(names), name, where, bid, ctr, cont))
-                names.append(name)
-                seen.add(name)
+
+            def fields() -> Iterable[tuple[str, str, Any, Any, Any]]:
+                for line_no, row in enumerate(reader, start=2):
+                    where = f"line {line_no}"
+                    if row["id"] is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
+                        raise InputError(f"{path}: {where} has too few columns")
+                    yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
+
+            bidders, names = _bidders(path, fields())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)

@@ -12,6 +12,15 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
 
+All three break ties by one rule, so VCG charges the same winners
+whichever runs: among optimal slates, take the one whose canonical ranks,
+followed by ``n`` for the end of the slate, form the lexicographically
+largest sequence; an ad is left out unless leaving it out loses value.
+``dp`` skips on a tie, ``brute`` compares ``combo + (n,)`` and ``fast``
+takes the latest gap holding the best score, then the highest rank of that
+gap holding its best linear term.  A tie that only rounding makes can
+still part them.
+
 Each solver starts from the instance's canonical ranking
 (``AuctionInstance.ranking``: one numpy index sort, computed on the
 instance's first solve and reused by every later one) and prunes it
@@ -87,16 +96,6 @@ def effective_slots(inst: AuctionInstance, slots: int | None = None) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"slots must be an integer >= 1, got {k!r}")
     return min(k, inst.n)
-
-
-def _check_brute_size(inst: AuctionInstance, slots: int | None = None) -> None:
-    """Raise ``SizeLimitExceeded`` if ``inst`` is too large for exhaustive search."""
-    requested = inst.slots if slots is None else slots
-    if inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS:
-        raise SizeLimitExceeded(
-            f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
-            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +196,8 @@ def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -
 
 
 def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
-    """Exact maximizer over every subset of at most ``slots`` bidders.
-
-    Equal-value optima resolve to the lexicographically smallest id
-    sequence (the empty tail beats any zero-value padding).
+    """Exact maximizer over every subset of at most ``slots`` bidders;
+    equal-value optima resolve by the module's tie rule.
 
     Raises:
         SizeLimitExceeded: when n > 22 or the requested slot count > 20.
@@ -208,28 +205,19 @@ def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assi
     return _slate(inst.bidders, *_run(_brute, inst, slots))
 
 
-def _brute(
-    bidders: Sequence[Bidder], order: np.ndarray, ecpms: np.ndarray, conts: np.ndarray, m: int
-) -> tuple[int, ...]:
+def _brute(ecpms: np.ndarray, conts: np.ndarray, m: int) -> tuple[int, ...]:
     ecpms, conts = ecpms.tolist(), conts.tolist()
-    ids = [bidders[i].id for i in order.tolist()]
+    end = (len(ecpms),)
     best_eff = 0.0
-    best_ids: tuple[int, ...] = ()
     best_combo: tuple[int, ...] = ()
     for r in range(1, m + 1):
-        for combo in combinations(range(len(ids)), r):
+        for combo in combinations(range(len(ecpms)), r):
             eff = 0.0
             for t in reversed(combo):
                 eff = ecpms[t] + conts[t] * eff
-            if eff > best_eff:
+            if eff > best_eff or (eff == best_eff and combo + end > best_combo + end):
                 best_eff = eff
-                best_ids = tuple(ids[t] for t in combo)
                 best_combo = combo
-            elif eff == best_eff:
-                cand = tuple(ids[t] for t in combo)
-                if cand < best_ids:
-                    best_ids = cand
-                    best_combo = combo
     return best_combo
 
 
@@ -246,7 +234,7 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
 
         best(i, r) = max(best(i+1, r-1) * q_i + e_i,  best(i+1, r))
 
-    Exact ties prefer "skip", so zero-value ads never pad the slate, and
+    Exact ties prefer "skip", which is the module's tie rule, and
     the backtrack stops at an ad with ``cont == 0``: nothing below it can
     be clicked.  The recursion runs over the k-skyband survivors, so the
     cost is an O(n log n) numpy sort, an O(n) prune bound and records
@@ -374,8 +362,9 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     vectorised pass per step takes each gap's best linear term over its
     unchosen survivors; rounding ``base + x`` never decreases as ``x``
     grows, so adding ``base[g]`` gives the gap's best score.  The step
-    keeps the earliest gap holding the best value, then the lowest rank of
-    that gap holding its best linear term.  Adding the gap's prefix value
+    follows the module's tie rule: the latest gap holding the best value,
+    then the highest rank of that gap holding its best linear term (the
+    last one equal to the gap's maximum).  Adding the gap's prefix value
     can round away an ulp between ranks of one gap, so the rank is not
     taken from the summed scores.  The chain stops when that rank gains
     nothing over the gap's current term, judged without the prefix value,
@@ -414,12 +403,13 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
         lin = ce.repeat(widths) * ecpms + cq.repeat(widths) * conts
         lin[chosen] = -np.inf
         heads = starts if starts[-1] < n else starts[:-1]
-        score = base[: len(heads)] + np.maximum.reduceat(lin, heads)
-        g = int(score.argmax())
+        gap_max = np.maximum.reduceat(lin, heads)
+        score = base[: len(heads)] + gap_max
+        g = len(score) - 1 - int(score[::-1].argmax())
         if score[g] <= current:
             break
         lo = starts[g]
-        pos = lo + int(lin[lo : lo + widths[g]].argmax())
+        pos = lo + int((lin[lo : lo + widths[g]] == gap_max[g]).nonzero()[0][-1])
         if lin[pos] <= cq[g]:
             break
         chosen.insert(g, pos)
@@ -468,23 +458,22 @@ def marginal_best_insert(
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# Solver bodies, each run on the bidders, a ranked form of them and its slot
-# count; only brute reads the bidders, for the ids of its tie rule.
-_BODIES: dict[str, Callable[[Sequence[Bidder], np.ndarray, np.ndarray, np.ndarray, int], Sequence[int]]] = {
-    "brute": _brute,
-    "dp": lambda bidders, order, ecpms, conts, m: _dp(ecpms, conts, m),
-    "fast": lambda bidders, order, ecpms, conts, m: _fast(ecpms, conts, m),
-}
+# Solver bodies, each run on a ranked form's ecpms and conts and its slot count.
+_BODIES: dict[str, Callable[[np.ndarray, np.ndarray, int], Sequence[int]]] = {"brute": _brute, "dp": _dp, "fast": _fast}
 
 
 def _run(body: Callable, inst: AuctionInstance, slots: int | None) -> tuple[np.ndarray, Sequence[int]]:
     """The ranked form's ``order`` and the ranks a solver body picks from it
     for the effective slot count, after exhaustive search's size check."""
-    if body is _brute:
-        _check_brute_size(inst, slots)
+    requested = inst.slots if slots is None else slots
+    if body is _brute and (inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS):
+        raise SizeLimitExceeded(
+            f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
+            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
+        )
     m = effective_slots(inst, slots)
     order, ecpms, conts = _ranked(inst, m)
-    return order, body(inst.bidders, order, ecpms, conts, m)
+    return order, body(ecpms, conts, m)
 
 
 def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -> Assignment:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _BODIES, _dp_marks, _dp_rows, _ranked, effective_slots, solve
+from .optimizer import _BODIES, _dp_marks, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -68,12 +68,14 @@ def vcg_prices(
     ranking pruned to the (slots + 1)-skyband: an ad ``slots + 1`` others
     beat on both ecpm and adjusted ecpm is still beaten ``slots`` times
     without any one winner.  Removing the winner at rank ``p`` leaves the
-    take/skip value rows under ``p`` as they are, so ``dp`` builds them once
-    and resumes them from the row under each winner over ranks ``p-1 .. 0``;
-    its top value is bit-equal to the Horner sum of a full re-solve's picks.
-    ``brute`` (the reference) and ``fast`` (which can pick another slate
-    of equal value, whose sum may differ in the last ulp) run their solver
-    body per winner on the survivors without it and sum its picks' values.
+    take/skip value rows under ``p`` as they are, so ``dp`` folds them up
+    once, a block at a time, keeps only the row under each winner and
+    resumes from it over ranks ``p-1 .. 0``; its top value is bit-equal to
+    the Horner sum of a full re-solve's picks.
+    ``brute`` (the reference) and ``fast`` (which, on a tie only rounding
+    makes, can pick another slate, whose sum may differ in the last ulp) run
+    their solver body per winner on the survivors without it and sum its
+    picks' values.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -91,11 +93,14 @@ def vcg_prices(
     rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
     ranks = [rank_of[bidder_id] for bidder_id in slate.order]
     if solver == "dp":
-        e, q, deep = ecpms.tolist(), conts.tolist(), max(ranks) + 1
-        rows = _dp_rows(e[:deep], q[:deep], m, _dp_marks(e[deep:], q[deep:], m)[-1])
+        e, q = ecpms.tolist(), conts.tolist()
+        under, below, top = {}, None, len(e)
+        for r in sorted(ranks, reverse=True):
+            below = under[r] = _dp_marks(e[r + 1 : top], q[r + 1 : top], m, below)[-1]
+            top = r + 1
 
         def others_alone(r: int) -> float:
-            return _dp_rows(e[:r], q[:r], m, rows[r + 1])[0][m]
+            return _dp_marks(e[:r], q[:r], m, under[r])[-1][m]
     else:
         body, everyone = _BODIES[solver], np.arange(len(order))
 
@@ -103,7 +108,7 @@ def vcg_prices(
             rest = everyone != r
             e, q = ecpms[rest], conts[rest]
             value = 0.0
-            for t in sorted(body(inst.bidders, order[rest], e, q, m), reverse=True):
+            for t in sorted(body(e, q, m), reverse=True):
                 value = float(e[t]) + float(q[t]) * value
             return value
     winners: list[WinnerPrice] = []

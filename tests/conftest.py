@@ -38,6 +38,12 @@ def tie_grid_instance(rng):
     return AuctionInstance(bidders, int(rng.integers(1, 5)))
 
 
+def with_permuted_ids(rng, inst):
+    """The instance with ids out of input order, so no tie rule can lean on it."""
+    ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
+    return AuctionInstance(tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots)
+
+
 def quantized_instance(rng, slots):
     """Shaped like production estimates: bids on a 0.05 grid, ctr and cont
     on a 0.01 grid, cont 0 included."""

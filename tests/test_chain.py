@@ -2,10 +2,11 @@
 
 ``optimizer._fast`` scores each gap of the slate once: the best linear
 term over the gap's ranks, added to the gap's prefix value.  The
-reference below scores every unchosen rank with the summed expression
-and takes the earliest rank of the best score.  Since ``base + x`` never
-rounds down as ``x`` grows, both must pick the same ranks in the same
-order, so the tests assert ``==`` on the picks.
+reference below scores every unchosen rank with the summed expression,
+takes the gap of the latest rank holding the best score, and within it
+the highest rank holding the gap's best linear term.  Since ``base + x``
+never rounds down as ``x`` grows, both must pick the same ranks in the
+same order, so the tests assert ``==`` on the picks.
 """
 
 import numpy as np
@@ -17,7 +18,10 @@ from markov_auction.optimizer import _fast, _prefix_tables, _ranked
 
 
 def per_rank_chain(ecpms, conts, m):
-    """The chain scored rank by rank: the reference for ``_fast``."""
+    """The chain scored rank by rank: the reference for ``_fast``.  Each
+    step takes the latest rank of the best score, so the latest gap holding
+    it, then the highest rank of that gap whose linear term is the gap's
+    best: ``optimizer``'s tie rule leaves out every earlier rank it can."""
     ecpm_list, cont_list = ecpms.tolist(), conts.tolist()
     n = len(ecpm_list)
     # gap[t]: the number of chosen ranks before rank t, so the slate gap t is in.
@@ -33,13 +37,13 @@ def per_rank_chain(ecpms, conts, m):
         lin = ce[gap] * ecpms + cq[gap] * conts
         score = base[gap] + lin
         score[chosen] = -np.inf
-        best = int(np.argmax(score))
+        best = int(np.flatnonzero(score == score.max())[-1])
         if score[best] <= current:
             break
         g = int(gap[best])
         lo = chosen[g - 1] + 1 if g > 0 else 0
         hi = chosen[g] if g < len(chosen) else n
-        pos = lo + int(np.argmax(lin[lo:hi]))
+        pos = lo + int(np.flatnonzero(lin[lo:hi] == lin[lo:hi].max())[-1])
         if lin[pos] <= cq[g]:
             break
         chosen.insert(g, pos)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_bidders, random_instance
+from conftest import quantized_instance, random_bidders, random_instance, tie_grid_instance, with_permuted_ids
 from markov_auction import (
     Assignment,
     AuctionInstance,
@@ -126,13 +126,13 @@ class TestDegenerateInstances:
     def test_dp_skips_on_exact_ties(self):
         # Interchangeable twins: taking either gives the same value.  The
         # take/skip recursion resolves exact ties toward "skip", so the
-        # later twin ends up selected; the exhaustive reference instead
-        # returns the lexicographically smallest id sequence.
+        # later twin ends up selected, and the other solvers follow the
+        # same rule.
         twins = AuctionInstance(
             (Bidder(1, 1.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.5)), 1
         )
-        assert dp_optimal(twins).order == (2,)
-        assert brute_force_optimal(twins).order == (1,)
+        assert brute_force_optimal(twins).order == dp_optimal(twins).order == (2,)
+        assert fast_optimal(twins).final.order == (2,)
         assert dp_optimal(twins).efficiency == brute_force_optimal(twins).efficiency
 
     @pytest.mark.parametrize("method", ALL_SOLVERS)
@@ -168,12 +168,14 @@ class TestDegenerateInstances:
 
 
 class TestBruteForceTieBreaking:
-    def test_prefers_lexicographically_smallest_ids(self):
-        # Equal-value optima: {3} and {5} both give 1.0; ids (3,) < (5,).
+    def test_leaves_out_the_earlier_rank(self):
+        # Equal-value optima: {3} and {5} both give 1.0.  Canonical order
+        # ranks the twins by id, so 3 is rank 0 and 5 rank 1, and the tie
+        # rule leaves rank 0 out.  Ids play no other part.
         inst = AuctionInstance(
             (Bidder(5, 2.0, 0.5, 0.5), Bidder(3, 2.0, 0.5, 0.5)), 1
         )
-        assert brute_force_optimal(inst).order == (3,)
+        assert brute_force_optimal(inst).order == (5,)
 
 
 class TestSolverAgreement:
@@ -252,12 +254,12 @@ class TestChain:
         [
             # Below bidder 0, bidders 2 and 3 score the same float, though
             # their ecpms (3.3949999999999996 and 3.395) differ; the step
-            # keeps the lower rank, 2.  The hull index collapses points of
-            # equal cont to the higher ecpm and picked 3; dp picks 3 too.
+            # keeps the higher rank, 3.  So does dp, and the hull index,
+            # which collapses points of equal cont to the higher ecpm.
             (
                 ((0, 100.0, 1.0, 0.610569418009508), (1, 0.2, 1.0, 0.99),
                  (2, 4.85, 0.7, 0.81), (3, 3.5, 0.97, 0.81)),
-                (0, 2),
+                (0, 3),
             ),
             # Bidder 3's gap score is one ulp above bidder 2's, and adding
             # bidder 0's value rounds both sums to 6.24995; the step keeps
@@ -326,3 +328,23 @@ class TestMarginalBestInsert:
         wide = AuctionInstance(page.bidders, 3)
         index = build([(b.cont, b.ecpm) for b in canonical_order(page.bidders)])
         assert marginal_best_insert(wide, Assignment((), 0.0, ()), index) == (2, 2.0)
+
+
+class TestOneTieRule:
+    """Every solver returns the same slate, not only the same value: among
+    optimal slates the one whose canonical ranks, with the end of the slate
+    above every rank, form the largest sequence (see ``optimizer``)."""
+
+    def test_tie_grid_permuted_ids(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4000):
+            inst = with_permuted_ids(rng, tie_grid_instance(rng))
+            brute, dp, fast = (solve(inst, method=m).order for m in ALL_SOLVERS)
+            assert brute == dp == fast
+
+    @pytest.mark.parametrize("slots", (1, 3, 10))
+    def test_quantized(self, slots):
+        rng = np.random.default_rng(90 + slots)
+        for _ in range(130):
+            inst = quantized_instance(rng, slots)
+            assert solve(inst, method="dp").order == solve(inst, method="fast").order

@@ -12,10 +12,12 @@ match the same calls each made on a fresh equal one, and the GSP slate
 read off the ranking must match a keyed sort of every bidder.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import quantized_instance, random_bidders, tie_grid_instance
+from conftest import quantized_instance, random_bidders, tie_grid_instance, with_permuted_ids
 from markov_auction import Assignment, AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
 from markov_auction import optimizer
 from markov_auction.optimizer import _ranked, _skyband
@@ -39,12 +41,6 @@ def beaten_fewer_than(ecpms, conts, m, counts=None):
     """Ranks beaten strictly on both scores fewer than m times."""
     counts = beaten_counts(ecpms, conts) if counts is None else counts
     return [t for t, c in enumerate(counts) if c < m]
-
-
-def with_permuted_ids(rng, inst):
-    """The instance with ids out of input order, so no tie rule can lean on it."""
-    ids = rng.permutation(3 * inst.n)[: inst.n].tolist()
-    return AuctionInstance(tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots)
 
 
 class TestSkyband:
@@ -330,6 +326,25 @@ class TestDpBlocks:
         expected = [outcome(inst, "dp") for inst in instances]
         monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", cells)
         assert [outcome(inst, "dp") for inst in instances] == expected
+
+    def test_pricing_keeps_a_row_per_winner_not_per_rank(self, monkeypatch):
+        # All skyline, so the last of 3000 ranks is a winner.  Keeping every
+        # value row down to it needs about 4 MB; a row under each of the 20
+        # winners and one block of 1024 values need about 0.5 MB.
+        rng = np.random.default_rng(63)
+        conts = rng.uniform(0.0, 0.99, 3000)
+        inst = AuctionInstance(tuple(Bidder(i, 1.01 - float(c) ** 2, 1.0, float(c)) for i, c in enumerate(conts)), 20)
+        expected = vcg_prices(inst)
+        assert expected[0].order[-1] == int(inst.ranking[0][-1])
+        monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", 1024)
+        tracemalloc.start()
+        try:
+            got = vcg_prices(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 1_500_000
 
 
 class TestGspFromRanking:
