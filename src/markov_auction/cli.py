@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import check_monotonicity, compare_gsp, sweep_bid
 from .model import Assignment, AuctionInstance, Bidder
-from .optimizer import SizeLimitExceeded, dp_optimal, fast_optimal, solve
+from .optimizer import SizeLimitExceeded, solve
 from .pricing import vcg_prices
 
 __all__ = ["main", "load_instance", "random_instance", "SEED_ENV_VAR"]
@@ -102,7 +102,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -154,10 +154,12 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                     where = f"line {line_no}"
                     if row["id"] is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
                         raise InputError(f"{path}: {where} has too few columns")
+                    if None in row:
+                        raise InputError(f"{path}: {where} has too many columns")
                     yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
 
             bidders, names = _bidders(path, fields())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
 
@@ -178,10 +180,8 @@ def random_instance(n: int, slots: int, seed: int) -> AuctionInstance:
     bids = np.exp(rng.uniform(np.log(0.01), np.log(10.0), n))
     ctrs = 1.0 - rng.random(n)
     conts = rng.uniform(0.0, 0.99, n)
-    bidders = tuple(
-        Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n)
-    )
-    return AuctionInstance(bidders, slots)
+    bidders = map(Bidder, range(n), bids.tolist(), ctrs.tolist(), conts.tolist())
+    return AuctionInstance(tuple(bidders), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +300,8 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     sub_n = min(ns.n, 2000)
     sub = AuctionInstance(inst.bidders[:sub_n], inst.slots)
     checked = solve(sub, method=ns.solver)
-    if ns.solver == "dp":
-        reference_name = "fast"
-        reference = fast_optimal(sub).final
-    else:
-        reference_name = "dp"
-        reference = dp_optimal(sub)
+    reference_name = "fast" if ns.solver == "dp" else "dp"
+    reference = solve(sub, method=reference_name)
     diff = abs(checked.efficiency - reference.efficiency)
     _emit(
         {

@@ -12,14 +12,14 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
 
-All three break ties by one rule, so VCG charges the same winners
-whichever runs: among optimal slates, take the one whose canonical ranks,
-followed by ``n`` for the end of the slate, form the lexicographically
-largest sequence; an ad is left out unless leaving it out loses value.
-``dp`` skips on a tie, ``brute`` compares ``combo + (n,)`` and ``fast``
-takes the latest gap holding the best score, then the highest rank of that
-gap holding its best linear term.  A tie that only rounding makes can
-still part them.
+All three break ties by one rule, so VCG charges the same winners the
+same payments whichever runs: among optimal slates, take the one whose
+canonical ranks, followed by ``n`` for the end of the slate, form the
+lexicographically largest sequence; an ad is left out unless leaving it
+out loses value.  ``dp`` skips on a tie, ``brute`` compares
+``combo + (n,)`` and ``fast`` takes the latest gap holding the best score,
+then the highest rank of that gap holding its best linear term.  A tie
+that only rounding makes can still part the slates.
 
 Each solver starts from the instance's canonical ranking
 (``AuctionInstance.ranking``: one numpy index sort, computed on the
@@ -32,7 +32,8 @@ be clicked, so no optimal slate holds it.  The result, the ranked form, is
 the survivors' positions in the instance in canonical order with their
 ecpms and conts.  Each solver body returns the ranks it picks from it and
 ``_slate`` turns them into the caller's ``Assignment``; VCG pricing reads
-only values (``dp``'s from its resumable value rows) and builds no slate.
+only ``dp``'s resumable value rows, whichever solver picked the slate, and
+builds no slate.
 """
 
 from __future__ import annotations

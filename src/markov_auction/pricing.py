@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Assignment, AuctionInstance
-from .optimizer import _BODIES, _dp_marks, _ranked, effective_slots, solve
+from .optimizer import _dp_marks, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -64,18 +62,19 @@ def vcg_prices(
 
         payment_i = value(best slate without i) - (value(winning slate) - v_i)
 
-    The slate is a plain ``solve``.  The re-solves run on the cached
+    ``solver`` only chooses who picks the slate (a plain ``solve``); the
+    winners are priced one way, so a slate is charged the same whichever
+    solver picked it.  The re-solves run on the cached
     ranking pruned to the (slots + 1)-skyband: an ad ``slots + 1`` others
     beat on both ecpm and adjusted ecpm is still beaten ``slots`` times
     without any one winner.  Removing the winner at rank ``p`` leaves the
-    take/skip value rows under ``p`` as they are, so ``dp`` folds them up
-    once, a block at a time, keeps only the row under each winner and
-    resumes from it over ranks ``p-1 .. 0``; its top value is bit-equal to
-    the Horner sum of a full re-solve's picks.
-    ``brute`` (the reference) and ``fast`` (which, on a tie only rounding
-    makes, can pick another slate, whose sum may differ in the last ulp) run
-    their solver body per winner on the survivors without it and sum its
-    picks' values.
+    take/skip value rows under ``p`` as they are, so they are folded up
+    once, a block at a time, keeping only the row under each winner, and
+    resumed from it over ranks ``p-1 .. 0``; the top value is the largest
+    Horner sum over the slates without the winner, bit-equal to an
+    exhaustive re-solve's.  Rounding can put the difference an ulp outside
+    VCG's range, so the payment is clamped to ``[0, v_i]`` and the
+    per-click price to at most the bid.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -92,37 +91,25 @@ def vcg_prices(
     m = min(m, len(order) - 1)  # the slots of each re-solve
     rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
     ranks = [rank_of[bidder_id] for bidder_id in slate.order]
-    if solver == "dp":
-        e, q = ecpms.tolist(), conts.tolist()
-        under, below, top = {}, None, len(e)
-        for r in sorted(ranks, reverse=True):
-            below = under[r] = _dp_marks(e[r + 1 : top], q[r + 1 : top], m, below)[-1]
-            top = r + 1
-
-        def others_alone(r: int) -> float:
-            return _dp_marks(e[:r], q[:r], m, under[r])[-1][m]
-    else:
-        body, everyone = _BODIES[solver], np.arange(len(order))
-
-        def others_alone(r: int) -> float:
-            rest = everyone != r
-            e, q = ecpms[rest], conts[rest]
-            value = 0.0
-            for t in sorted(body(e, q, m), reverse=True):
-                value = float(e[t]) + float(q[t]) * value
-            return value
+    e, q = ecpms.tolist(), conts.tolist()
+    under, below, top = {}, None, len(e)
+    for r in sorted(ranks, reverse=True):
+        below = under[r] = _dp_marks(e[r + 1 : top], q[r + 1 : top], m, below)[-1]
+        top = r + 1
     winners: list[WinnerPrice] = []
     for bidder_id, click, r in zip(slate.order, slate.click_probs, ranks):
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
-        value = click * inst.bidders[order[r]].bid
-        payment = others_alone(r) - (slate.efficiency - value)
+        bid = inst.bidders[order[r]].bid
+        value = click * bid
+        others_alone = _dp_marks(e[:r], q[:r], m, under[r])[-1][m]
+        payment = min(max(others_alone - (slate.efficiency - value), 0.0), value)
         winners.append(
             WinnerPrice(
                 bidder_id=bidder_id,
                 value=value,
                 expected_payment=payment,
-                per_click_price=payment / click,
+                per_click_price=min(payment / click, bid),
                 utility=value - payment,
             )
         )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import tie_grid_instance
 from markov_auction import (
+    Assignment,
     AuctionInstance,
     Bidder,
     SizeLimitExceeded,
@@ -15,6 +17,8 @@ from markov_auction import (
     compare_gsp,
     sweep_bid,
 )
+from markov_auction import analysis
+from markov_auction.optimizer import brute_force_optimal
 
 
 class TestSweepBid:
@@ -126,6 +130,35 @@ class TestCheckDominance:
         rng = np.random.default_rng(41)
         for _ in range(200):
             assert check_dominance(make_random_instance(rng, max_n=10, max_slots=4)).passed
+
+    def test_exact_twins_pass(self):
+        # Continuous draws never put a dominating ad outside the slate;
+        # exact twins do, so each one is substituted and evaluated.
+        rng = np.random.default_rng(43)
+        substituted = 0
+        for _ in range(300):
+            inst = tie_grid_instance(rng)
+            assert check_dominance(inst).passed
+            best = brute_force_optimal(inst)
+            outside = [b for b in inst.bidders if b.id not in best.selected]
+            substituted += any(
+                (o.ecpm, o.adjusted_ecpm) == (inst.bidder(i).ecpm, inst.bidder(i).adjusted_ecpm)
+                for o in outside
+                for i in best.order
+            )
+        assert substituted > 0
+
+    def test_inflated_optimum_fails_naming_both_bidders(self, monkeypatch):
+        def inflated(inst, slots=None):
+            best = brute_force_optimal(inst, slots)
+            return Assignment(best.order, best.efficiency + 1.0, best.click_probs)
+
+        monkeypatch.setattr(analysis, "brute_force_optimal", inflated)
+        twins = AuctionInstance(tuple(Bidder(i, 2.0, 0.5, 0.5) for i in range(3)), 2)
+        verdict = check_dominance(twins)
+        assert not verdict.passed
+        # The tie rule leaves out the earliest twin, bidder 0.
+        assert verdict.detail == "substituting bidder 0 for 1 drops value 2.5 -> 1.5"
 
     def test_large_instance_refused(self):
         rng = np.random.default_rng(42)

@@ -6,6 +6,7 @@ environment override, and byte-for-byte determinism of repeated runs.
 """
 
 import json
+import runpy
 import shlex
 import subprocess
 import sys
@@ -114,6 +115,27 @@ class TestPrice:
         assert slate["order"] == ["stop"] and slate["click_probs"] == [1.0]
         assert price["bidder"] == "stop" and price["expected_payment"] == 1.0
 
+    @pytest.mark.parametrize(
+        "slots, rows",
+        [
+            # Unclamped, b1 would pay 0.9000000000000001 per click on a bid of 0.9.
+            (1, [(0.9, 0.6, 0.6), (0.9, 0.6, 0.3)]),
+            # Unclamped, b2 would pay -5.551115123125783e-17.
+            (3, [(0.8, 0.3, 0.2), (0.4, 0.3, 0.9), (0.1, 0.9, 0.7)]),
+        ],
+        ids=["per-click-above-bid", "payment-below-zero"],
+    )
+    def test_payments_stay_in_vcg_range(self, capsys, tmp_path, slots, rows):
+        bidders = [{"id": f"b{i}", "bid": b, "ctr": c, "cont": q} for i, (b, c, q) in enumerate(rows)]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"slots": slots, "bidders": bidders}))
+        code, out, _ = run(capsys, "price", str(path))
+        assert code == 0
+        bids = {row["id"]: row["bid"] for row in bidders}
+        for price in records(out)[1:]:
+            assert 0.0 <= price["expected_payment"] <= price["value"]
+            assert 0.0 <= price["per_click_price"] <= bids[price["bidder"]]
+
 
 class TestSweep:
     def test_points_and_verdict(self, capsys, page_file):
@@ -207,6 +229,13 @@ class TestBench:
         assert len(rec["selection_hash"]) == 64
         assert rec["cross_check"]["within_tol"] is True
         assert rec["cross_check"]["reference"] == "dp"
+
+    def test_dp_is_cross_checked_against_fast(self, capsys):
+        code, out, _ = run(capsys, "bench", "--n", "50", "--k", "5", "--seed", "3", "--solver", "dp")
+        assert code == 0
+        (rec,) = records(out)
+        assert rec["cross_check"]["reference"] == "fast"
+        assert rec["cross_check"]["within_tol"] is True
 
     def test_env_seed_overrides_flag(self, capsys, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -359,6 +388,50 @@ class TestBadFieldTable:
             assert "Traceback" not in err
 
 
+# Defects of a whole file, or of a row's shape, with the format, the
+# file's bytes and the error that must follow "error: ".
+BAD_FILES = [
+    ("json-top-level-list", "json", b"[]", "{path}: top level must be a JSON object"),
+    ("json-bidders-not-list", "json", b'{"slots": 1, "bidders": {}}', "{path}: key 'bidders' must be a list"),
+    ("json-entry-not-object", "json", b'{"slots": 1, "bidders": [3]}', "{path}: bidder entry 0 must be an object, got 3"),
+    (
+        "json-missing-id",
+        "json",
+        b'{"slots": 1, "bidders": [{"bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path}: bidder entry 0 is missing field 'id'",
+    ),
+    ("json-slots-zero", "json", b'{"slots": 0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 0"),
+    ("json-slots-bool", "json", b'{"slots": true, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got True"),
+    ("json-slots-float", "json", b'{"slots": 2.0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 2.0"),
+    ("json-not-utf8", "json", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    ("csv-too-few-columns", "csv", b"id,bid,ctr,cont\na,1,0.5\n", "{path}: line 2 has too few columns"),
+    ("csv-too-many-columns", "csv", b"id,bid,ctr,cont\na,1,0.5,0.5,9\n", "{path}: line 2 has too many columns"),
+    ("csv-not-utf8", "csv", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+]
+
+
+class TestBadFileTable:
+    @pytest.mark.parametrize("case, fmt, content, message", BAD_FILES, ids=[c[0] for c in BAD_FILES])
+    def test_exits_2_naming_the_file(self, capsys, tmp_path, case, fmt, content, message):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(content)
+        extra = ("--format", "csv", "--slots", "1") if fmt == "csv" else ()
+        code, out, err = run(capsys, "assign", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(path=path))
+        assert err.count("\n") == 1
+
+    def test_unreadable_csv_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.csv"
+        code, out, err = run(capsys, "assign", str(path), "--format", "csv", "--slots", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_unknown_format(self, page_file):
+        with pytest.raises(cli.InputError, match="unknown format 'xml'"):
+            load_instance(page_file, fmt="xml")
+
+
 class TestSizeLimit:
     def test_brute_guard_exits_3(self, capsys, tmp_path):
         doc = {"slots": 2, "bidders": [
@@ -462,3 +535,20 @@ class TestSubprocess:
         assert result.returncode == 0
         _, in_process, _ = run(capsys, "assign", page_file)
         assert result.stdout == in_process
+
+    def test_module_entry_point_exit_code(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        result = subprocess.run(
+            [sys.executable, "-m", "markov_auction", "assign", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"error: {path} is not valid JSON")
+
+    def test_module_entry_point_in_process(self, capsys, monkeypatch, page_file):
+        monkeypatch.setattr(sys, "argv", ["markov_auction", "assign", page_file])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("markov_auction", run_name="__main__")
+        assert exited.value.code == 0
+        assert records(capsys.readouterr().out)[0]["order"] == ["a", "b"]

@@ -109,5 +109,20 @@ class TestStructuralProperties:
         (only,) = schedule.winners
         assert only.expected_payment == 1.0 and only.per_click_price == 1.0
 
+    def test_every_solver_charges_a_shared_slate_the_same(self):
+        # fast used to re-solve each winner with its own body, whose picks
+        # here sum to 0.05039999999999989 for bidder 6.
+        rows = [(0.5, 0.4, 0.0), (0.6, 0.6, 0.9), (0.2, 1.0, 0.7), (0.1, 0.4, 0.8)]
+        rows += [(0.5, 0.3, 0.0), (0.0, 0.4, 0.8), (0.2, 0.9, 0.6)]
+        inst = AuctionInstance(tuple(Bidder(i, *row) for i, row in enumerate(rows)), 4)
+        results = [vcg_prices(inst, solver=m) for m in ("brute", "dp", "fast")]
+        assert {slate.order for slate, _ in results} == {(1, 2, 6, 0)}
+        charged = [
+            [(w.bidder_id, w.expected_payment, w.per_click_price) for w in schedule.winners]
+            for _, schedule in results
+        ]
+        assert charged[0] == charged[1] == charged[2]
+        assert results[2][1].payment(6) == 0.0504
+
     def test_degenerate_click_prob_error_exists(self):
         assert issubclass(DegenerateClickProb, ValueError)

@@ -214,15 +214,18 @@ class TestRanked:
 
 
 def rebuilt_prices(inst, method):
-    """VCG by definition: one public solve per winner on a rebuilt instance."""
+    """VCG by definition: one public solve per winner on a rebuilt instance,
+    clamped to VCG's range as ``vcg_prices`` clamps it."""
     slate = solve(inst, method=method)
     prices = []
     for rank, bidder_id in enumerate(slate.order):
         click = slate.click_probs[rank]
-        value = click * inst.bidder(bidder_id).bid
+        bid = inst.bidder(bidder_id).bid
+        value = click * bid
         rest = AuctionInstance(tuple(b for b in inst.bidders if b.id != bidder_id), inst.slots)
         payment = solve(rest, method=method).efficiency - (slate.efficiency - value)
-        prices.append((bidder_id, payment, payment / click))
+        payment = min(max(payment, 0.0), value)
+        prices.append((bidder_id, payment, min(payment / click, bid)))
     return slate.order, prices
 
 
