@@ -14,6 +14,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import attrgetter, eq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ class DuplicateBidder(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bidder:
     """One ad with its bid and user-behaviour parameters.
 
@@ -50,6 +52,8 @@ class Bidder:
 
     Scores are real numbers, stored as floats, and the adjusted ecpm is
     finite, so no slate value (at most its largest adjusted ecpm) overflows.
+    The class is slotted: an instance holds its four fields and no
+    ``__dict__``.
     """
 
     id: int
@@ -57,32 +61,21 @@ class Bidder:
     ctr: float
     cont: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise ValueError(f"id must be a non-negative integer, got {self.id!r}")
-        bid, ctr, cont = self.bid, self.ctr, self.cont
-        # Every comparison is False for NaN; a finite ecpm overflows only to +inf.
+    def __init__(self, id: int, bid: float, ctr: float, cont: float) -> None:
+        # One check passes every valid ad given as an int id and three
+        # floats; every comparison is False for NaN, and a finite ecpm
+        # overflows only to +inf.  Anything else takes the slow path.
         if not (
-            type(bid) is type(ctr) is type(cont) is float
-            and 0.0 <= bid < math.inf and 0.0 < ctr <= 1.0 and 0.0 <= cont < 1.0
-            and ctr * bid / (1.0 - cont) < math.inf
+            type(id) is int and id >= 0
+            and type(bid) is type(ctr) is type(cont) is float
+            and 0.0 <= bid < _INF and 0.0 < ctr <= 1.0 and 0.0 <= cont < 1.0
+            and ctr * bid / (1.0 - cont) < _INF
         ):
-            bid, ctr, cont = _as_float(bid), _as_float(ctr), _as_float(cont)
-            for field, inside, interval in (
-                ("bid", 0.0 <= bid < math.inf, "[0.0, inf)"),
-                ("ctr", 0.0 < ctr <= 1.0, "(0.0, 1.0]"),
-                ("cont", 0.0 <= cont < 1.0, "[0.0, 1.0)"),
-            ):
-                if not inside:
-                    raise ValueError(
-                        f"bidder {self.id}: field {field!r} must be a number in {interval}, "
-                        f"got {getattr(self, field)!r}"
-                    )
-            if not ctr * bid / (1.0 - cont) < math.inf:
-                raise ValueError(f"bidder {self.id}: adjusted ecpm ctr * bid / (1 - cont) must be finite")
-            object.__setattr__(self, "bid", bid)
-            object.__setattr__(self, "ctr", ctr)
-            object.__setattr__(self, "cont", cont)
+            bid, ctr, cont = _checked(id, bid, ctr, cont)
+        _set_id(self, id)
+        _set_bid(self, bid)
+        _set_ctr(self, ctr)
+        _set_cont(self, cont)
 
     @property
     def ecpm(self) -> float:
@@ -97,6 +90,29 @@ class Bidder:
         revenue, so this is the canonical ranking score.
         """
         return self.ecpm / (1.0 - self.cont)
+
+
+# The slots' own setters, which a frozen instance's ``__setattr__`` refuses.
+_set_id, _set_bid, _set_ctr, _set_cont = (Bidder.__dict__[f].__set__ for f in ("id", "bid", "ctr", "cont"))
+_INF = math.inf
+
+
+def _checked(id: object, bid: object, ctr: object, cont: object) -> tuple[float, float, float]:
+    """The scores of a valid ad as floats, or the ``ValueError`` naming its
+    first bad field."""
+    if not isinstance(id, int) or isinstance(id, bool) or id < 0:
+        raise ValueError(f"id must be a non-negative integer, got {id!r}")
+    b, c, q = _as_float(bid), _as_float(ctr), _as_float(cont)
+    for field, raw, inside, interval in (
+        ("bid", bid, 0.0 <= b < math.inf, "[0.0, inf)"),
+        ("ctr", ctr, 0.0 < c <= 1.0, "(0.0, 1.0]"),
+        ("cont", cont, 0.0 <= q < 1.0, "[0.0, 1.0)"),
+    ):
+        if not inside:
+            raise ValueError(f"bidder {id}: field {field!r} must be a number in {interval}, got {raw!r}")
+    if not c * b / (1.0 - q) < math.inf:
+        raise ValueError(f"bidder {id}: adjusted ecpm ctr * bid / (1 - cont) must be finite")
+    return b, c, q
 
 
 def _as_float(raw: object) -> float:
@@ -121,11 +137,15 @@ class AuctionInstance:
         object.__setattr__(self, "bidders", tuple(self.bidders))
         if not isinstance(self.slots, int) or isinstance(self.slots, bool) or self.slots < 1:
             raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
-        seen: set[int] = set()
-        for b in self.bidders:
-            if b.id in seen:
-                raise DuplicateBidder(f"bidder id {b.id} appears more than once")
-            seen.add(b.id)
+        # Sorted ids hold a repeat exactly where two neighbours are equal;
+        # only then does a loop find the first repeat in input order.
+        ids = sorted(map(attrgetter("id"), self.bidders))
+        if any(map(eq, ids, islice(ids, 1, None))):
+            seen: set[int] = set()
+            for b in self.bidders:
+                if b.id in seen:
+                    raise DuplicateBidder(f"bidder id {b.id} appears more than once")
+                seen.add(b.id)
 
     @property
     def n(self) -> int:
@@ -234,9 +254,9 @@ def canonical_ranks(bidders: Sequence[Bidder]) -> tuple[np.ndarray, np.ndarray, 
     ints, never a numpy array).
     """
     n = len(bidders)
-    bid = np.fromiter((b.bid for b in bidders), float, n)
-    ctr = np.fromiter((b.ctr for b in bidders), float, n)
-    cont = np.fromiter((b.cont for b in bidders), float, n)
+    bid = np.fromiter(map(attrgetter("bid"), bidders), float, n)
+    ctr = np.fromiter(map(attrgetter("ctr"), bidders), float, n)
+    cont = np.fromiter(map(attrgetter("cont"), bidders), float, n)
     ecpm = ctr * bid
     adj = ecpm / (1.0 - cont)
     order = np.argsort(-adj)

@@ -261,23 +261,37 @@ def _dp_rows(ecpms: Sequence[float], conts: Sequence[float], m: int, below: list
     return rows
 
 
-def _dp_marks(ecpms: Sequence[float], conts: Sequence[float], m: int, below: list[float] | None = None) -> list[list[float]]:
-    """``below`` (by default zeros: no ads left), then the top row of each
-    block of at most 2**16 values, bottom block first; only these are kept."""
-    stride = max(1, _DP_BLOCK_CELLS // (m + 1))
-    marks = [[0.0] * (m + 1) if below is None else below]
-    for lo in range(stride * ((len(ecpms) - 1) // stride), -1, -stride):
-        marks.append(_dp_rows(ecpms[lo : lo + stride], conts[lo : lo + stride], m, marks[-1])[0])
-    return marks
+def _climb(ecpms: Sequence[float], conts: Sequence[float], lo: int, hi: int, m: int, row: list[float]) -> list[float]:
+    """The value row ``best(lo, 0..m)`` folded up from ``row``, the row under
+    rank ``hi - 1``, over ranks ``hi - 1 .. lo`` in one copy of ``row``.
+
+    Only the cells that ``best(0, m)`` reads are computed: at rank ``i``,
+    ``best(i, r)`` for ``r >= m - i``, which read cells ``r - 1 >= m - i - 1``
+    of the row under.  The others keep stale values.  Each computed cell
+    takes the same float operations, in the same order, as ``_dp_rows``.
+    """
+    row = row.copy()
+    for i in range(hi - 1, lo - 1, -1):
+        e_i, q_i = ecpms[i], conts[i]
+        for r in range(m, max(m - i, 1) - 1, -1):
+            taken = row[r - 1] * q_i + e_i
+            if taken > row[r]:
+                row[r] = taken
+    return row
 
 
 def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     ecpms, conts = ecpms.tolist(), conts.tolist()
     stride = max(1, _DP_BLOCK_CELLS // (m + 1))
-    # The row under each block of ranks, top block first, to rebuild it from.
-    under = _dp_marks(ecpms[stride:], conts[stride:], m)[::-1]
+    # The row under each block of at most 2**16 values, bottom block first.
+    # At rank i the backtrack reads only cells r - 1 >= m - i - 1 of the
+    # row under, inside the band _climb computes.
+    n = len(ecpms)
+    under = [[0.0] * (m + 1)]
+    for lo in range(stride * ((n - 1) // stride), 0, -stride):
+        under.append(_climb(ecpms, conts, lo, min(lo + stride, n), m, under[-1]))
     chosen, r = [], m
-    for lo, base in zip(range(0, len(ecpms), stride), under):
+    for lo, base in zip(range(0, n, stride), reversed(under)):
         e, q = ecpms[lo : lo + stride], conts[lo : lo + stride]
         for i, e_i, q_i, below in zip(range(lo, lo + stride), e, q, _dp_rows(e, q, m, base)[1:]):
             if below[r - 1] * q_i + e_i > below[r]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _dp_marks, _ranked, effective_slots, solve
+from .optimizer import _climb, _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -64,17 +64,18 @@ def vcg_prices(
 
     ``solver`` only chooses who picks the slate (a plain ``solve``); the
     winners are priced one way, so a slate is charged the same whichever
-    solver picked it.  The re-solves run on the cached
-    ranking pruned to the (slots + 1)-skyband: an ad ``slots + 1`` others
-    beat on both ecpm and adjusted ecpm is still beaten ``slots`` times
-    without any one winner.  Removing the winner at rank ``p`` leaves the
-    take/skip value rows under ``p`` as they are, so they are folded up
-    once, a block at a time, keeping only the row under each winner, and
-    resumed from it over ranks ``p-1 .. 0``; the top value is the largest
-    Horner sum over the slates without the winner, bit-equal to an
-    exhaustive re-solve's.  Rounding can put the difference an ulp outside
-    VCG's range, so the payment is clamped to ``[0, v_i]`` and the
-    per-click price to at most the bid.
+    solver picked it.  The re-solves run on the cached ranking pruned to
+    the (slots + 1)-skyband: an ad ``slots + 1`` others beat on both ecpm
+    and adjusted ecpm is still beaten ``slots`` times without any one
+    winner.  Removing the winner at rank ``p`` leaves the take/skip value
+    rows under ``p`` as they are, so one row is folded up once, a copy of
+    it kept under each winner, and each copy is resumed over ranks
+    ``p-1 .. 0``.  Both climbs compute at rank ``i`` only the cells the
+    top value reads, those with at least ``slots - i`` open slots.  The top
+    value is the largest Horner sum over the slates without the winner,
+    bit-equal to an exhaustive re-solve's.  Rounding can put the difference
+    an ulp outside VCG's range, so the payment is clamped to ``[0, v_i]``
+    and the per-click price to at most the bid.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -92,9 +93,9 @@ def vcg_prices(
     rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
     ranks = [rank_of[bidder_id] for bidder_id in slate.order]
     e, q = ecpms.tolist(), conts.tolist()
-    under, below, top = {}, None, len(e)
+    under, row, top = {}, [0.0] * (m + 1), len(e)
     for r in sorted(ranks, reverse=True):
-        below = under[r] = _dp_marks(e[r + 1 : top], q[r + 1 : top], m, below)[-1]
+        row = under[r] = _climb(e, q, r + 1, top, m, row)
         top = r + 1
     winners: list[WinnerPrice] = []
     for bidder_id, click, r in zip(slate.order, slate.click_probs, ranks):
@@ -102,7 +103,7 @@ def vcg_prices(
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
         bid = inst.bidders[order[r]].bid
         value = click * bid
-        others_alone = _dp_marks(e[:r], q[:r], m, under[r])[-1][m]
+        others_alone = _climb(e, q, 0, r, m, under[r])[m]
         payment = min(max(others_alone - (slate.efficiency - value), 0.0), value)
         winners.append(
             WinnerPrice(

@@ -1,6 +1,10 @@
 """Unit tests for the domain model: validation, slate arithmetic, identities."""
 
+import copy
 import dataclasses
+import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,11 +85,100 @@ class TestBidderValidation:
         assert b3.adjusted_ecpm == pytest.approx(4.25)
 
 
+class TestBidderContract:
+    """``Bidder`` is a frozen, slotted dataclass: its public behaviour is a
+    plain dataclass's, without a ``__dict__``."""
+
+    def test_value_semantics(self):
+        b = Bidder(1, 2.0, 0.5, 0.25)
+        twin = Bidder(id=1, bid=2.0, ctr=0.5, cont=0.25)
+        assert b == twin and hash(b) == hash(twin)
+        assert b != Bidder(2, 2.0, 0.5, 0.25)
+        assert repr(b) == "Bidder(id=1, bid=2.0, ctr=0.5, cont=0.25)"
+        assert [f.name for f in dataclasses.fields(Bidder)] == ["id", "bid", "ctr", "cont"]
+
+    def test_replace_validates_the_copy(self):
+        b = Bidder(1, 2.0, 0.5, 0.25)
+        assert dataclasses.replace(b, bid=3) == Bidder(1, 3.0, 0.5, 0.25)
+        with pytest.raises(ValueError, match="'ctr'"):
+            dataclasses.replace(b, ctr=0.0)
+
+    def test_frozen(self):
+        b = Bidder(1, 2.0, 0.5, 0.25)
+        for field in ("id", "bid", "ctr", "cont"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(b, field, 0.5)
+        assert b == Bidder(1, 2.0, 0.5, 0.25)
+
+    def test_slotted(self):
+        b = Bidder(1, 2.0, 0.5, 0.25)
+        assert Bidder.__slots__ == ("id", "bid", "ctr", "cont")
+        assert not hasattr(b, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))], ids=["copy", "deepcopy", "pickle"]
+    )
+    def test_round_trips(self, clone):
+        b = Bidder(2**70, 2.0, 0.5, 0.25)
+        got = clone(b)
+        assert got == b and hash(got) == hash(b) and repr(got) == repr(b)
+        assert not hasattr(got, "__dict__")
+
+    def test_int_subclass_id_is_kept(self):
+        class Id(int):
+            pass
+
+        b = Bidder(Id(4), 2.0, 0.5, 0.25)
+        assert type(b.id) is Id and b == Bidder(4, 2.0, 0.5, 0.25)
+
+    def test_int_fields_are_stored_as_floats(self):
+        b = Bidder(0, 2, 1, 0)
+        assert (b.bid, b.ctr, b.cont) == (2.0, 1.0, 0.0)
+        assert all(type(v) is float for v in (b.bid, b.ctr, b.cont))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, 1.0, 0.5, 0.5), "id must be a non-negative integer, got True"),
+            ((-1, 1.0, 0.5, 0.5), "id must be a non-negative integer, got -1"),
+            ((0, float("nan"), 0.5, 0.5), "bidder 0: field 'bid' must be a number in [0.0, inf), got nan"),
+            ((0, 1.0, 0.0, 0.5), "bidder 0: field 'ctr' must be a number in (0.0, 1.0], got 0.0"),
+            ((0, 1.7e308, 1.0, 0.9), "bidder 0: adjusted ecpm ctr * bid / (1 - cont) must be finite"),
+        ],
+        ids=["bool-id", "negative-id", "nan-bid", "zero-ctr", "infinite-adjusted-ecpm"],
+    )
+    def test_field_errors(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Bidder(*args)
+
+
 class TestAuctionInstance:
     def test_rejects_duplicate_ids(self):
         b = Bidder(1, 1.0, 0.5, 0.5)
         with pytest.raises(DuplicateBidder):
             AuctionInstance((b, Bidder(1, 2.0, 0.5, 0.5)), 1)
+
+    def test_duplicate_message_names_the_first_repeat_in_input_order(self):
+        bidders = tuple(Bidder(i, 1.0, 0.5, 0.5) for i in (5, 3, 5, 3))
+        with pytest.raises(DuplicateBidder, match="^bidder id 5 appears more than once$"):
+            AuctionInstance(bidders, 1)
+
+    def test_construction_memory(self):
+        # 20,000 slotted bidders and their instance peak near 1.7 MB; with a
+        # __dict__ per bidder and a set of seen ids they peaked near 4.9 MB.
+        rng = np.random.default_rng(12)
+        n = 20_000
+        ids = rng.permutation(n).tolist()
+        bids, ctrs = rng.uniform(0.0, 5.0, n).tolist(), (1.0 - rng.random(n)).tolist()
+        conts = rng.uniform(0.0, 0.99, n).tolist()
+        tracemalloc.start()
+        try:
+            inst = AuctionInstance(tuple(map(Bidder, ids, bids, ctrs, conts)), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n == n
+        assert peak < 2_400_000
 
     def test_rejects_bad_slots(self):
         b = Bidder(1, 1.0, 0.5, 0.5)

@@ -6,10 +6,11 @@ solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
 winner; dp's table pricing is checked against it at each edge of the
-table, and dp's value-row blocks must not change a slate or a price.  An
-instance keeps its ranking once computed; calls on a ranked instance must
-match the same calls each made on a fresh equal one, and the GSP slate
-read off the ranking must match a keyed sort of every bidder.
+table, and neither dp's value-row blocks nor the cells pricing skips may
+change a slate or a price.  An instance keeps its ranking once computed;
+calls on a ranked instance must match the same calls each made on a fresh
+equal one, and the GSP slate read off the ranking must match a keyed sort
+of every bidder.
 """
 
 import tracemalloc
@@ -259,14 +260,41 @@ def winner_ranks(inst):
     return [ids.index(bidder_id) for bidder_id in solve(inst).order], len(ids)
 
 
+def full_row_prices(inst):
+    """VCG from full value rows: for each winner, every cell of every row
+    over the pricing survivors but the winner, with the cell rule of
+    ``vcg_prices``."""
+    slate = solve(inst)
+    m = min(inst.slots, inst.n)
+    order, ecpms, conts = _ranked(inst, m + 1)
+    m = min(m, len(order) - 1)
+    ids = [inst.bidders[i].id for i in order.tolist()]
+    prices = []
+    for bidder_id, click in zip(slate.order, slate.click_probs):
+        p = ids.index(bidder_id)
+        row = [0.0] * (m + 1)
+        for rank in reversed(range(len(ids))):
+            if rank != p:
+                e, q = float(ecpms[rank]), float(conts[rank])
+                row = [0.0] + [t if (t := a * q + e) > c else c for a, c in zip(row, row[1:])]
+        bid = inst.bidder(bidder_id).bid
+        value = click * bid
+        payment = min(max(row[m] - (slate.efficiency - value), 0.0), value)
+        prices.append((bidder_id, payment, min(payment / click, bid)))
+    return slate.order, prices
+
+
 def assert_table_prices(inst):
-    assert ranked_prices(inst, "dp") == rebuilt_prices(inst, "dp")
+    got = ranked_prices(inst, "dp")
+    assert got == rebuilt_prices(inst, "dp")
+    assert got == full_row_prices(inst)
 
 
 class TestTablePricing:
     """dp prices every winner from one value table, resumed from the row
-    under each winner; each edge of the table against one public solve per
-    winner on a rebuilt instance."""
+    under each winner and computing at rank i only the cells with at least
+    slots - i open slots; each edge of the table against one public solve
+    per winner on a rebuilt instance and against full value rows."""
 
     def test_winner_at_rank_zero(self):
         bidders = [Bidder(0, 4.0, 0.5, 0.5), Bidder(1, 2.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.0)]
@@ -332,13 +360,15 @@ class TestDpBlocks:
 
     def test_pricing_keeps_a_row_per_winner_not_per_rank(self, monkeypatch):
         # All skyline, so the last of 3000 ranks is a winner.  Keeping every
-        # value row down to it needs about 4 MB; a row under each of the 20
-        # winners and one block of 1024 values need about 0.5 MB.
+        # value row down to it needs about 4 MB; the solve's block of 1024
+        # values and pricing's row under each of the 20 winners need about
+        # 0.5 MB.
         rng = np.random.default_rng(63)
         conts = rng.uniform(0.0, 0.99, 3000)
         inst = AuctionInstance(tuple(Bidder(i, 1.01 - float(c) ** 2, 1.0, float(c)) for i, c in enumerate(conts)), 20)
         expected = vcg_prices(inst)
         assert expected[0].order[-1] == int(inst.ranking[0][-1])
+        assert ranked_prices(inst, "dp") == full_row_prices(inst)
         monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", 1024)
         tracemalloc.start()
         try:
