@@ -104,7 +104,8 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
@@ -161,6 +162,9 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
             bidders, names = _bidders(path, fields())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        # An over-long field, or a NUL byte before Python 3.11.
+        raise InputError(f"{path}: {exc}") from exc
     return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
 
 

@@ -383,10 +383,14 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     can round away an ulp between ranks of one gap, so the rank is not
     taken from the summed scores.  The chain stops when that rank gains
     nothing over the gap's current term, judged without the prefix value,
-    which can round the summed score above the slate's value.  After the
-    O(n log n) numpy sort and the prune the cost is O(slots * s) numpy
-    work and O(slots^2) Python for ``s`` survivors.  The same chain, with
-    only its last slate built, is ``solve(method="fast")``.
+    which can round the summed score above the slate's value.  The per-gap
+    tables (members, gap bounds, ``ce``, ``base``) live in numpy arrays
+    allocated once per solve and shifted in place on each insertion, and
+    only the gaps below the new member recompute ``ce`` and ``base``.
+    After the O(n log n) numpy sort and the prune, step ``i`` costs O(s)
+    numpy work plus O(i) Python for ``s`` survivors, so O(slots * s) numpy
+    work and O(slots^2) Python in total.  The same chain, with only its
+    last slate built, is ``solve(method="fast")``.
     """
     order, picks = _run(_BODIES["fast"], inst, slots)
     return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
@@ -394,48 +398,66 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
 
 def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     """The ranks the chain adds, one per step, in the order it adds them;
-    the slate after step ``i`` is the first ``i`` of them, sorted."""
+    the slate after step ``i`` is the first ``i`` of them, sorted.
+    ``ecpms`` and ``conts`` are only read: with nothing pruned they are
+    the instance's read-only ranking."""
     n = len(ecpms)
-    chosen: list[int] = []
     picks: list[int] = []
-    # Members' scores in slate order; the slate's value from each one down.
+    # Members' scores in slate order, read by the Python suffix loop.
     chosen_e: list[float] = []
     chosen_q: list[float] = []
-    eff_suffix = [0.0]
-    # Segment g runs over the ranks of gap g, then chosen[g]; the last
-    # segment has no member and is empty once the last rank is chosen.
-    starts, widths = [0], [n]
-    for _ in range(m):
-        current = eff_suffix[0]
-        # Summed in the order of _prefix_tables, so bit-identical to them.
-        ce = np.multiply.accumulate([1.0, *chosen_q])
-        base = np.add.accumulate(np.concatenate(([0.0], ce[:-1] * chosen_e)))
-        cq = ce * eff_suffix
-        if ce[-1] == 0.0:
+    # Segment g runs over chosen[g - 1], then the ranks of gap g, from
+    # edges[g] (0 for g = 0) to edges[g + 1]; so edges[1 : i + 1] are the
+    # chosen ranks and n ends the last segment.  Members score -inf, so an
+    # empty gap's segment, or rank 0 once it is chosen, maxes at -inf.
+    edges = np.empty(m + 2, dtype=np.intp)
+    edges[0], edges[1] = 0, n
+    # Per gap g: the slate's value from member g down, the cont prefix,
+    # their product and the prefix value, as in _prefix_tables.
+    eff_suffix = np.zeros(m + 1)
+    ce = np.ones(m + 1)
+    cq = np.empty(m + 1)
+    base = np.zeros(m + 1)
+    current = 0.0
+    for i in range(m):
+        gaps = i + 1
+        np.multiply(ce[:gaps], eff_suffix[:gaps], out=cq[:gaps])
+        gap_base = base[:gaps]
+        if ce[i] == 0.0:
             # A gap no user reaches has ce == cq == 0, so its ranks score
             # exactly the slate's current value.
-            base = np.where(ce == 0.0, current, base)
-        lin = ce.repeat(widths) * ecpms + cq.repeat(widths) * conts
-        lin[chosen] = -np.inf
-        heads = starts if starts[-1] < n else starts[:-1]
-        gap_max = np.maximum.reduceat(lin, heads)
-        score = base[: len(heads)] + gap_max
-        g = len(score) - 1 - int(score[::-1].argmax())
+            gap_base = np.where(ce[:gaps] == 0.0, current, gap_base)
+        widths = edges[1 : gaps + 1] - edges[:gaps]
+        lin = ce[:gaps].repeat(widths) * ecpms + cq[:gaps].repeat(widths) * conts
+        lin[edges[1:gaps]] = -np.inf
+        gap_max = np.maximum.reduceat(lin, edges[:gaps])
+        score = gap_base + gap_max
+        g = gaps - 1 - int(score[::-1].argmax())
         if score[g] <= current:
             break
-        lo = starts[g]
-        pos = lo + int((lin[lo : lo + widths[g]] == gap_max[g]).nonzero()[0][-1])
+        # The reversed argmax is the last rank holding the gap's maximum.
+        hi = int(edges[g + 1])
+        pos = hi - 1 - int(lin[edges[g] : hi][::-1].argmax())
         if lin[pos] <= cq[g]:
             break
-        chosen.insert(g, pos)
         picks.append(pos)
+        edges[g + 2 : gaps + 2] = edges[g + 1 : gaps + 1]
+        edges[g + 1] = pos
         chosen_e.insert(g, float(ecpms[pos]))
         chosen_q.insert(g, float(conts[pos]))
-        eff_suffix.insert(g, 0.0)
+        eff_suffix[g + 1 : gaps + 1] = eff_suffix[g:gaps]
+        current = float(eff_suffix[g + 1])
         for t in range(g, -1, -1):
-            eff_suffix[t] = chosen_e[t] + chosen_q[t] * eff_suffix[t + 1]
-        widths[g : g + 1] = [pos + 1 - lo, lo + widths[g] - pos - 1]
-        starts.insert(g + 1, pos + 1)
+            current = chosen_e[t] + chosen_q[t] * current
+            eff_suffix[t] = current
+        # Only the gaps below the new member change ce and base.  Each entry
+        # is the one above it times a cont, or plus a term, as in the
+        # running sums of _prefix_tables, so every float is bit-identical.
+        members = edges[g + 1 : gaps + 1]
+        ce[g + 1 : gaps + 1] = conts[members]
+        np.multiply.accumulate(ce[g : gaps + 1], out=ce[g : gaps + 1])
+        np.multiply(ce[g:gaps], ecpms[members], out=base[g + 1 : gaps + 1])
+        np.add.accumulate(base[g : gaps + 1], out=base[g : gaps + 1])
     return picks
 
 

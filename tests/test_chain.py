@@ -12,7 +12,7 @@ same order, so the tests assert ``==`` on the picks.
 import numpy as np
 import pytest
 
-from conftest import quantized_instance, tie_grid_instance
+from conftest import quantized_instance, random_bidders, tie_grid_instance
 from markov_auction import AuctionInstance, Bidder
 from markov_auction.optimizer import _fast, _prefix_tables, _ranked
 
@@ -77,6 +77,24 @@ class TestChainMatchesPerRankScan:
         ctrs = 1.0 - rng.random(n)
         inst = instance((1.01 - conts * conts) / ctrs, ctrs, conts, slots)
         assert len(chain_picks(inst, slots)) == slots
+
+    @pytest.mark.parametrize("n, slots", [(2000, 50), (20000, 100)])
+    def test_random_draws(self, n, slots):
+        # Drawn like the benchmark's random instances: hundreds of ads
+        # survive the prune, so every step of the chain runs.
+        rng = np.random.default_rng(74 + slots)
+        inst = AuctionInstance(random_bidders(rng, n, cont_high=0.99), slots)
+        assert len(_ranked(inst, slots)[1]) > 2 * slots
+        assert len(chain_picks(inst, slots)) == slots
+
+    def test_read_only_inputs(self):
+        # With nothing pruned the body gets the instance's read-only
+        # ranking arrays; it must never write into them.
+        rng = np.random.default_rng(75)
+        inst = AuctionInstance(random_bidders(rng, 40), 40)
+        _, ecpms, conts = _ranked(inst, 40)
+        assert ecpms is inst.ranking[1] and not (ecpms.flags.writeable or conts.flags.writeable)
+        chain_picks(inst, 40)
 
     def test_tie_grid(self):
         rng = np.random.default_rng(71)

@@ -404,9 +404,21 @@ BAD_FILES = [
     ("json-slots-bool", "json", b'{"slots": true, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got True"),
     ("json-slots-float", "json", b'{"slots": 2.0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 2.0"),
     ("json-not-utf8", "json", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    (
+        "json-nested-too-deep",
+        "json",
+        b'{"slots": 1, "bidders": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        "{path} is not valid JSON: maximum recursion depth exceeded",
+    ),
     ("csv-too-few-columns", "csv", b"id,bid,ctr,cont\na,1,0.5\n", "{path}: line 2 has too few columns"),
     ("csv-too-many-columns", "csv", b"id,bid,ctr,cont\na,1,0.5,0.5,9\n", "{path}: line 2 has too many columns"),
     ("csv-not-utf8", "csv", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    (
+        "csv-field-too-large",
+        "csv",
+        b"id,bid,ctr,cont\na," + b"1" * 131073 + b",0.5,0.5\n",
+        "{path}: field larger than field limit (131072)",
+    ),
 ]
 
 
@@ -420,6 +432,20 @@ class TestBadFileTable:
         assert (code, out) == (2, "")
         assert err.startswith("error: " + message.format(path=path))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"id,bid,ctr,cont\na,1\x00,0.5,0.5\n", b"id,bid\x00,ctr,cont\na,1,0.5,0.5\n"],
+        ids=["in-a-row", "in-the-header"],
+    )
+    def test_csv_nul_byte_exits_2(self, capsys, tmp_path, content):
+        # Python 3.10's csv rejects the line; later versions read the NUL
+        # into the field, which the loader then rejects.
+        path = tmp_path / "nul.csv"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "assign", str(path), "--format", "csv", "--slots", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unreadable_csv_file(self, capsys, tmp_path):
         path = tmp_path / "absent.csv"
