@@ -5,7 +5,8 @@ drawn from an auction instance.  Because any chosen set extracts its best
 value in canonical (adjusted-ecpm) order, search happens over sets:
 
 * ``brute_force_optimal`` enumerates every subset (small instances only),
-* ``dp_optimal`` runs a take/skip recursion down the canonical order,
+* ``dp_optimal`` runs a take/skip recursion down the canonical order, one
+  slot count at a time,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
   best ad per step; one vectorised pass scores each gap of the slate once.
 
@@ -31,9 +32,9 @@ swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
 the survivors' positions in the instance in canonical order with their
 ecpms and conts.  Each solver body returns the ranks it picks from it and
-``_slate`` turns them into the caller's ``Assignment``; VCG pricing reads
-only ``dp``'s resumable value rows, whichever solver picked the slate, and
-builds no slate.
+``_slate`` turns them into the caller's ``Assignment``; VCG pricing folds
+the take/skip value rows itself (``_climb``), whichever solver picked the
+slate, and builds no slate.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
 
 _BRUTE_MAX_BIDDERS = 22
 _BRUTE_MAX_SLOTS = 20
-_DP_BLOCK_CELLS = 1 << 16
 
 
 class SizeLimitExceeded(ValueError):
@@ -240,25 +240,41 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     be clicked.  The recursion runs over the k-skyband survivors, so the
     cost is an O(n log n) numpy sort, an O(n) prune bound and records
     pass plus an O(c log slots) exact prune over the ``c`` ads they leave,
-    then O(survivors * slots) time; the backtrack re-reads the value rows.
+    then one numpy pass over the survivors per open-slot count, so
+    O(survivors * slots) numpy work.  The passes keep two value columns and
+    a bool mask of where "take" wins; the backtrack reads one mask row per
+    slot.
     """
     return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
 
 
-def _dp_rows(ecpms: Sequence[float], conts: Sequence[float], m: int, below: list[float]) -> list[list[float]]:
-    """The value rows ``best(i, 0..m)`` of the ranks, top first, then ``below``,
-    the row under them; each row is built from the row under it alone."""
-    rows = [below]
-    for e_i, q_i in zip(reversed(ecpms), reversed(conts)):
-        below = rows[-1]
-        here = below.copy()
-        for r in range(1, m + 1):
-            taken = below[r - 1] * q_i + e_i
-            if taken > below[r]:
-                here[r] = taken
-        rows.append(here)
-    rows.reverse()
-    return rows
+def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
+    s = len(ecpms)
+    # take[r - 1, i]: with r open slots, taking rank i is worth strictly
+    # more than skipping it.  Column s, past the last rank, stays False, so
+    # the backtrack's slices are never empty.
+    take = np.zeros((m, s + 1), dtype=bool)
+    # best(., r - 1) and best(., r) over ranks 0..s; best(s, r) stays 0.
+    below, col = np.zeros(s + 1), np.zeros(s + 1)
+    taken = np.empty(s)
+    for row in take:
+        np.multiply(below[1:], conts, out=taken)
+        taken += ecpms
+        # best(i, r) is the largest "take" value from rank i down: taken is
+        # never negative, so this is the recursion's max, bit for bit.
+        np.maximum.accumulate(taken[::-1], out=col[-2::-1])
+        np.greater(taken, col[1:], out=row[:s])
+        below, col = col, below
+    chosen, i = [], 0
+    for row in take[::-1]:
+        i += int(row[i:].argmax())
+        if not row[i]:
+            break
+        chosen.append(i)
+        if conts[i] == 0.0:
+            break
+        i += 1
+    return chosen
 
 
 def _climb(ecpms: Sequence[float], conts: Sequence[float], lo: int, hi: int, m: int, row: list[float]) -> list[float]:
@@ -268,7 +284,7 @@ def _climb(ecpms: Sequence[float], conts: Sequence[float], lo: int, hi: int, m: 
     Only the cells that ``best(0, m)`` reads are computed: at rank ``i``,
     ``best(i, r)`` for ``r >= m - i``, which read cells ``r - 1 >= m - i - 1``
     of the row under.  The others keep stale values.  Each computed cell
-    takes the same float operations, in the same order, as ``_dp_rows``.
+    takes the same float operations, in the same order, as ``_dp``'s columns.
     """
     row = row.copy()
     for i in range(hi - 1, lo - 1, -1):
@@ -278,28 +294,6 @@ def _climb(ecpms: Sequence[float], conts: Sequence[float], lo: int, hi: int, m: 
             if taken > row[r]:
                 row[r] = taken
     return row
-
-
-def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
-    ecpms, conts = ecpms.tolist(), conts.tolist()
-    stride = max(1, _DP_BLOCK_CELLS // (m + 1))
-    # The row under each block of at most 2**16 values, bottom block first.
-    # At rank i the backtrack reads only cells r - 1 >= m - i - 1 of the
-    # row under, inside the band _climb computes.
-    n = len(ecpms)
-    under = [[0.0] * (m + 1)]
-    for lo in range(stride * ((n - 1) // stride), 0, -stride):
-        under.append(_climb(ecpms, conts, lo, min(lo + stride, n), m, under[-1]))
-    chosen, r = [], m
-    for lo, base in zip(range(0, n, stride), reversed(under)):
-        e, q = ecpms[lo : lo + stride], conts[lo : lo + stride]
-        for i, e_i, q_i, below in zip(range(lo, lo + stride), e, q, _dp_rows(e, q, m, base)[1:]):
-            if below[r - 1] * q_i + e_i > below[r]:
-                chosen.append(i)
-                r -= 1
-                if not r or q_i == 0.0:
-                    return chosen
-    return chosen
 
 
 # ---------------------------------------------------------------------------

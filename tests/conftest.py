@@ -44,6 +44,13 @@ def with_permuted_ids(rng, inst):
     return AuctionInstance(tuple(Bidder(i, b.bid, b.ctr, b.cont) for i, b in zip(ids, inst.bidders)), inst.slots)
 
 
+def columns_instance(bids, ctrs, conts, slots):
+    """An instance from bid, ctr and cont columns, ids in column order."""
+    return AuctionInstance(
+        tuple(Bidder(i, float(b), float(c), float(q)) for i, (b, c, q) in enumerate(zip(bids, ctrs, conts))), slots
+    )
+
+
 def quantized_instance(rng, slots):
     """Shaped like production estimates: bids on a 0.05 grid, ctr and cont
     on a 0.01 grid, cont 0 included."""

@@ -12,7 +12,7 @@ same order, so the tests assert ``==`` on the picks.
 import numpy as np
 import pytest
 
-from conftest import quantized_instance, random_bidders, tie_grid_instance
+from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance
 from markov_auction import AuctionInstance, Bidder
 from markov_auction.optimizer import _fast, _prefix_tables, _ranked
 
@@ -61,12 +61,6 @@ def chain_picks(inst, m):
     return picks
 
 
-def instance(bids, ctrs, conts, slots):
-    return AuctionInstance(
-        tuple(Bidder(i, float(b), float(c), float(q)) for i, (b, c, q) in enumerate(zip(bids, ctrs, conts))), slots
-    )
-
-
 class TestChainMatchesPerRankScan:
     @pytest.mark.parametrize("n, slots", [(2000, 30), (5000, 60), (20000, 100)])
     def test_skyline(self, n, slots):
@@ -75,7 +69,7 @@ class TestChainMatchesPerRankScan:
         rng = np.random.default_rng(70 + slots)
         conts = rng.uniform(0.0, 0.99, n)
         ctrs = 1.0 - rng.random(n)
-        inst = instance((1.01 - conts * conts) / ctrs, ctrs, conts, slots)
+        inst = columns_instance((1.01 - conts * conts) / ctrs, ctrs, conts, slots)
         assert len(chain_picks(inst, slots)) == slots
 
     @pytest.mark.parametrize("n, slots", [(2000, 50), (20000, 100)])
@@ -109,7 +103,8 @@ class TestChainMatchesPerRankScan:
         rng = np.random.default_rng(72)
         for _ in range(600):
             n = int(rng.integers(2, 30))
-            inst = instance(rng.integers(0, 11, n) / 10, rng.integers(1, 11, n) / 10, rng.integers(0, 10, n) / 10, 1)
+            bids, ctrs, conts = rng.integers(0, 11, n) / 10, rng.integers(1, 11, n) / 10, rng.integers(0, 10, n) / 10
+            inst = columns_instance(bids, ctrs, conts, 1)
             for m in range(1, min(n, 6) + 1):
                 chain_picks(inst, m)
 

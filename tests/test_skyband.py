@@ -6,11 +6,11 @@ solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
 winner; dp's table pricing is checked against it at each edge of the
-table, and neither dp's value-row blocks nor the cells pricing skips may
-change a slate or a price.  An instance keeps its ranking once computed;
-calls on a ranked instance must match the same calls each made on a fresh
-equal one, and the GSP slate read off the ranking must match a keyed sort
-of every bidder.
+table, and the cells pricing skips may not change a price; dp's solve
+and pricing are held to memory bounds.  An instance keeps its ranking
+once computed; calls on a ranked instance must match the same calls each
+made on a fresh equal one, and the GSP slate read off the ranking must
+match a keyed sort of every bidder.
 """
 
 import tracemalloc
@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import quantized_instance, random_bidders, tie_grid_instance, with_permuted_ids
+from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance, with_permuted_ids
 from markov_auction import Assignment, AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
 from markov_auction import optimizer
 from markov_auction.optimizer import _ranked, _skyband
@@ -345,31 +345,26 @@ class TestTablePricing:
             assert_table_prices(quantized_instance(rng, slots))
 
 
+def skyline_3000(slots):
+    """3000 ads of which none beats another on both scores (seed 63)."""
+    conts = np.random.default_rng(63).uniform(0.0, 0.99, 3000)
+    return columns_instance(1.01 - conts * conts, np.ones(3000), conts, slots)
+
+
 class TestDpBlocks:
-    """Past one block of value rows, dp keeps only the row under each block
-    and rebuilds the rest; the block size changes no slate and no price."""
+    """dp's memory: the solve keeps two value columns and one bool mask of
+    where "take" wins, and pricing keeps one value row per winner, not one
+    per rank."""
 
-    @pytest.mark.parametrize("cells", (1, 7, 40))
-    def test_block_size_is_invisible(self, monkeypatch, cells):
-        rng = np.random.default_rng(61)
-        instances = [tie_grid_instance(rng) for _ in range(200)]
-        instances += [quantized_instance(rng, slots) for slots in (1, 3, 10)]
-        expected = [outcome(inst, "dp") for inst in instances]
-        monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", cells)
-        assert [outcome(inst, "dp") for inst in instances] == expected
-
-    def test_pricing_keeps_a_row_per_winner_not_per_rank(self, monkeypatch):
+    def test_pricing_keeps_a_row_per_winner_not_per_rank(self):
         # All skyline, so the last of 3000 ranks is a winner.  Keeping every
-        # value row down to it needs about 4 MB; the solve's block of 1024
-        # values and pricing's row under each of the 20 winners need about
-        # 0.5 MB.
-        rng = np.random.default_rng(63)
-        conts = rng.uniform(0.0, 0.99, 3000)
-        inst = AuctionInstance(tuple(Bidder(i, 1.01 - float(c) ** 2, 1.0, float(c)) for i, c in enumerate(conts)), 20)
+        # value row down to it needs about 4 MB; the solve's columns and
+        # mask and pricing's row under each of the 20 winners need about
+        # 0.45 MB.
+        inst = skyline_3000(20)
         expected = vcg_prices(inst)
         assert expected[0].order[-1] == int(inst.ranking[0][-1])
         assert ranked_prices(inst, "dp") == full_row_prices(inst)
-        monkeypatch.setattr(optimizer, "_DP_BLOCK_CELLS", 1024)
         tracemalloc.start()
         try:
             got = vcg_prices(inst)
@@ -378,6 +373,27 @@ class TestDpBlocks:
             tracemalloc.stop()
         assert got == expected
         assert peak < 1_500_000
+
+    @pytest.mark.parametrize("slots", (1, 20, 100))
+    def test_solve_keeps_one_mask_and_three_columns(self, slots):
+        # The same 3000 all-skyline ads, none pruned; the last rank has the
+        # highest ecpm, so every slate ends there.  The body holds the
+        # slots x 3001 bool mask and three float64 arrays of 3001 entries;
+        # 16 KiB covers the Python objects around them.  One value row per
+        # rank would take over 1.5 MB at 20 slots, and a float64 mask eight
+        # times the bool one.
+        inst = skyline_3000(slots)
+        _, ecpms, conts = _ranked(inst, slots)
+        s = len(ecpms)
+        assert s == 3000
+        tracemalloc.start()
+        try:
+            picks = optimizer._dp(ecpms, conts, slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert picks[-1] == s - 1
+        assert peak < slots * (s + 1) + 3 * 8 * (s + 1) + 16_384
 
 
 class TestGspFromRanking:
