@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter, eq
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,6 +126,18 @@ def _as_float(raw: object) -> float:
         return math.inf
 
 
+def _has_repeat(ids: list[int]) -> bool:
+    """Whether ``ids`` holds a repeat: one numpy sort of the ids as int64,
+    which makes no Python comparisons and takes less memory than a set,
+    or a set when an id does not fit in an int64."""
+    try:
+        a = np.fromiter(ids, np.int64, len(ids))
+    except OverflowError:
+        return len(set(ids)) < len(ids)
+    a.sort()
+    return bool((a[1:] == a[:-1]).any())
+
+
 @dataclass(frozen=True)
 class AuctionInstance:
     """A set of competing bidders plus the number of ad slots on the page."""
@@ -137,15 +149,16 @@ class AuctionInstance:
         object.__setattr__(self, "bidders", tuple(self.bidders))
         if not isinstance(self.slots, int) or isinstance(self.slots, bool) or self.slots < 1:
             raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
-        # Sorted ids hold a repeat exactly where two neighbours are equal;
-        # only then does a loop find the first repeat in input order.
-        ids = sorted(map(attrgetter("id"), self.bidders))
-        if any(map(eq, ids, islice(ids, 1, None))):
+        # Strictly ascending ids, as the loaders number them, hold no repeat
+        # and cost one pass; only a repeat makes a loop find the first one
+        # in input order.
+        ids = list(map(attrgetter("id"), self.bidders))
+        if not all(map(lt, ids, islice(ids, 1, None))) and _has_repeat(ids):
             seen: set[int] = set()
-            for b in self.bidders:
-                if b.id in seen:
-                    raise DuplicateBidder(f"bidder id {b.id} appears more than once")
-                seen.add(b.id)
+            for i in ids:
+                if i in seen:
+                    raise DuplicateBidder(f"bidder id {i} appears more than once")
+                seen.add(i)
 
     @property
     def n(self) -> int:
@@ -163,15 +176,29 @@ class AuctionInstance:
         for the life of the instance: 24 bytes per ad.
 
         Every solve, ``vcg_prices`` and ``compare_gsp`` on this instance
-        reads it.  The arrays are read-only, since every caller shares them.
-        The attribute is no dataclass field, so it takes no part in ``==``,
-        ``hash``, ``repr`` or the constructor, and copies made with
-        ``with_bid`` or ``dataclasses.replace`` start unranked.
+        reads it, or a pruned form of it kept in ``_pruned``.  The arrays
+        are read-only, since every caller shares them.  The attribute is no
+        dataclass field, so it takes no part in ``==``, ``hash``, ``repr``
+        or the constructor, and copies made with ``with_bid`` or
+        ``dataclasses.replace`` start unranked.
         """
         arrays = canonical_ranks(self.bidders)
         for a in arrays:
             a.setflags(write=False)
         return arrays
+
+    @cached_property
+    def _pruned(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The ranking pruned to the k-skyband, keyed by slot count k, for
+        at most the two slot counts used last; ``optimizer._ranked`` fills
+        it and reads it.
+
+        A form holds 24 bytes per survivor (position, ecpm and cont), in
+        read-only arrays, or is the ranking's own arrays when nothing is
+        pruned.  Like ``ranking``, it takes no part in the instance's value,
+        and copies start with no forms.
+        """
+        return {}
 
     def with_bid(self, bidder_id: int, bid: float) -> "AuctionInstance":
         """A copy of the instance with one bidder's bid replaced."""

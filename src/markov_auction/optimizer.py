@@ -24,9 +24,11 @@ that only rounding makes can still part the slates.
 
 Each solver starts from the instance's canonical ranking
 (``AuctionInstance.ranking``: one numpy index sort, computed on the
-instance's first solve and reused by every later one) and prunes it
+instance's first solve and reused by every later one) pruned
 (``_ranked``) to the k-skyband, the ads that fewer than ``k`` others beat
-strictly on both ecpm and adjusted ecpm.
+strictly on both ecpm and adjusted ecpm.  The instance keeps the pruned
+form for the two slot counts used last, 24 bytes per survivor, so later
+solves at the same slot count prune nothing.
 An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
 swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
@@ -176,14 +178,34 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
 
 
 def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ranked form of an instance for ``m`` slots: its cached canonical
-    ranking, pruned to the m-skyband unless every ad fits in the slots."""
-    order, ecpms, conts = inst.ranking
-    if len(order) > m:
-        keep = _skyband(ecpms, conts, m)
-        if len(keep) < len(order):
-            order, ecpms, conts = order[keep], ecpms[keep], conts[keep]
-    return order, ecpms, conts
+    """The ranked form of an instance for ``m`` slots: its kept canonical
+    ranking, pruned to the m-skyband unless every ad fits in the slots.
+
+    The survivors depend only on the instance and ``m``, so each pruned
+    form is kept on the instance (``AuctionInstance._pruned``) and later
+    calls with the same ``m`` prune nothing.  Only the two slot counts used
+    last are kept, the ``k`` and ``k + 1`` that one ``vcg_prices`` reads.
+    The arrays are read-only, and with nothing pruned they are the
+    ranking's own."""
+    ranking = inst.ranking
+    if len(ranking[0]) <= m:
+        return ranking
+    forms = inst._pruned
+    form = forms.pop(m, None)
+    if form is None:
+        keep = _skyband(ranking[1], ranking[2], m)
+        form = ranking
+        if len(keep) < len(ranking[0]):
+            form = tuple(a[keep] for a in ranking)
+            for a in form:
+                a.setflags(write=False)
+        # Keep the slot count used last beside this one.  Each step is one
+        # dict operation, so an instance shared by threads at worst prunes
+        # a slot count twice.
+        for old in list(forms)[:-1]:
+            forms.pop(old, None)
+    forms[m] = form
+    return form
 
 
 def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -> Assignment:
@@ -238,10 +260,10 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     Exact ties prefer "skip", which is the module's tie rule, and
     the backtrack stops at an ad with ``cont == 0``: nothing below it can
     be clicked.  The recursion runs over the k-skyband survivors, so the
-    cost is an O(n log n) numpy sort, an O(n) prune bound and records
-    pass plus an O(c log slots) exact prune over the ``c`` ads they leave,
-    then one numpy pass over the survivors per open-slot count, so
-    O(survivors * slots) numpy work.  The passes keep two value columns and
+    cost is an O(n log n) numpy sort once per instance, an O(n) prune
+    bound and records pass plus an O(c log slots) exact prune over the
+    ``c`` ads they leave once per slot count, then one numpy pass over
+    the survivors per open-slot count, so O(survivors * slots) numpy work.  The passes keep two value columns and
     a bool mask of where "take" wins; the backtrack reads one mask row per
     slot.
     """
@@ -393,8 +415,9 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
 def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     """The ranks the chain adds, one per step, in the order it adds them;
     the slate after step ``i`` is the first ``i`` of them, sorted.
-    ``ecpms`` and ``conts`` are only read: with nothing pruned they are
-    the instance's read-only ranking."""
+    ``ecpms`` and ``conts`` are only read: they are the read-only arrays
+    the instance keeps, its pruned form or, with nothing pruned, its
+    ranking."""
     n = len(ecpms)
     picks: list[int] = []
     # Members' scores in slate order, read by the Python suffix loop.

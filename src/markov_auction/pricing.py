@@ -64,12 +64,13 @@ def vcg_prices(
 
     ``solver`` only chooses who picks the slate (a plain ``solve``); the
     winners are priced one way, so a slate is charged the same whichever
-    solver picked it.  The re-solves run on the cached ranking pruned to
-    the (slots + 1)-skyband: an ad ``slots + 1`` others beat on both ecpm
-    and adjusted ecpm is still beaten ``slots`` times without any one
-    winner.  Removing the winner at rank ``p`` leaves the take/skip value
-    rows under ``p`` as they are, so one row is folded up once, a copy of
-    it kept under each winner, and each copy is resumed over ranks
+    solver picked it.  The re-solves run on the instance's ranking pruned
+    to the (slots + 1)-skyband, a form the instance keeps beside the
+    slots-skyband its slate solve reads: an ad ``slots + 1`` others beat
+    on both ecpm and adjusted ecpm is still beaten ``slots`` times without
+    any one winner.  Removing the winner at rank ``p`` leaves the take/skip
+    value rows under ``p`` as they are, so one row is folded up once, a
+    copy of it kept under each winner, and each copy is resumed over ranks
     ``p-1 .. 0``.  Both climbs compute at rank ``i`` only the cells the
     top value reads, those with at least ``slots - i`` open slots.  The top
     value is the largest Horner sum over the slates without the winner,

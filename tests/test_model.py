@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,9 +19,14 @@ from markov_auction import (
     DuplicateBidder,
     canonical_order,
     click_probabilities,
+    compare_gsp,
     evaluate,
+    solve,
+    vcg_prices,
 )
+from markov_auction import optimizer
 from markov_auction.model import canonical_ranks
+from markov_auction.optimizer import _ranked
 
 
 class TestBidderValidation:
@@ -163,6 +170,20 @@ class TestAuctionInstance:
         with pytest.raises(DuplicateBidder, match="^bidder id 5 appears more than once$"):
             AuctionInstance(bidders, 1)
 
+    @pytest.mark.parametrize(
+        "ids, first",
+        (((2, 7, 3, 7, 2), 7), ((2**70, 1, 2**70, 1), 2**70), ((0, 2**64, 5, 0), 0), ((1, 2, 3, 3), 3)),
+    )
+    def test_repeat_in_any_order_names_the_first(self, ids, first):
+        bidders = tuple(Bidder(i, 1.0, 0.5, 0.5) for i in ids)
+        with pytest.raises(DuplicateBidder, match=f"^bidder id {first} appears more than once$"):
+            AuctionInstance(bidders, 1)
+
+    @pytest.mark.parametrize("ids", ((3, 1, 2), (2**70, 0, 2**64), tuple(range(50, 0, -1))))
+    def test_distinct_ids_in_any_order_are_accepted(self, ids):
+        bidders = tuple(Bidder(i, 1.0, 0.5, 0.5) for i in ids)
+        assert AuctionInstance(bidders, 1).n == len(ids)
+
     def test_construction_memory(self):
         # 20,000 slotted bidders and their instance peak near 1.7 MB; with a
         # __dict__ per bidder and a set of seen ids they peaked near 4.9 MB.
@@ -224,6 +245,109 @@ class TestRankingCache:
         assert "ranking" not in page.with_bid(3, 9.0).__dict__
         assert "ranking" not in dataclasses.replace(page).__dict__
         assert "ranking" not in dataclasses.replace(page, slots=1).__dict__
+
+
+class TestPrunedForms:
+    """``AuctionInstance._pruned`` keeps the ranking pruned to the k-skyband
+    for the two slot counts used last, without becoming part of the
+    instance's value."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Slot counts ``optimizer._skyband`` is called with from now on."""
+        calls = []
+        skyband = optimizer._skyband
+
+        def counting(ecpms, conts, m):
+            calls.append(m)
+            return skyband(ecpms, conts, m)
+
+        monkeypatch.setattr(optimizer, "_skyband", counting)
+        return calls
+
+    def test_an_auction_prunes_once_per_slot_count(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        inst = random_instance(np.random.default_rng(52), 60, 5, min_n=40)
+        k = inst.slots
+        solve(inst)
+        vcg_prices(inst)
+        compare_gsp(inst)
+        solve(inst, method="fast")
+        vcg_prices(inst, solver="fast")
+        assert calls == [k, k + 1]
+        assert sorted(inst._pruned) == [k, k + 1]
+
+    def test_arrays_are_read_only(self):
+        inst = random_instance(np.random.default_rng(53), 60, 3, min_n=40)
+        form = _ranked(inst, 2)
+        assert len(form[0]) < inst.n
+        for a in form:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_nothing_pruned_keeps_the_ranking_itself(self):
+        # No ad beats another on both scores, so every ad survives.
+        bidders = tuple(Bidder(i, 1.01 - q * q, 1.0, q) for i, q in enumerate(np.linspace(0.0, 0.9, 20).tolist()))
+        inst = AuctionInstance(bidders, 2)
+        for got, kept in zip(_ranked(inst, 2), inst.ranking):
+            assert got is kept
+        assert _ranked(inst, 20) is inst.ranking
+
+    def test_takes_no_part_in_value(self):
+        pruned = random_instance(np.random.default_rng(54), 30, 4, min_n=20)
+        plain = AuctionInstance(pruned.bidders, pruned.slots)
+        vcg_prices(pruned)
+        assert pruned._pruned
+        assert pruned == plain
+        assert hash(pruned) == hash(plain)
+        assert repr(pruned) == repr(plain)
+        assert "_pruned" not in plain.__dict__
+
+    def test_copies_start_with_no_forms(self, page):
+        vcg_prices(page, slots=1)
+        assert page._pruned
+        assert "_pruned" not in page.with_bid(3, 9.0).__dict__
+        assert "_pruned" not in dataclasses.replace(page).__dict__
+        assert "_pruned" not in dataclasses.replace(page, slots=1).__dict__
+
+    def test_a_third_slot_count_evicts_the_oldest(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(55), 60, 1, min_n=40)
+        calls = self.counted(monkeypatch)
+        for m in (1, 2, 1, 3, 1, 2):
+            _ranked(inst, m)
+        # 1 is used again before 3 arrives, so 3 evicts 2, and 2 then evicts 3.
+        assert calls == [1, 2, 3, 2]
+        assert list(inst._pruned) == [1, 2]
+
+    def test_threads_sharing_an_instance(self):
+        # More threads than cores, switching often, each cycling through
+        # three slot counts on one instance: every form read must be the one
+        # a fresh instance prunes, and no thread may raise.
+        inst = random_instance(np.random.default_rng(56), 80, 1, min_n=60)
+        expected = {m: [a.tolist() for a in _ranked(AuctionInstance(inst.bidders, 1), m)] for m in (1, 2, 3)}
+        wrong, errors = [], []
+
+        def work(start):
+            try:
+                for i in range(1500):
+                    m = (start + i) % 3 + 1
+                    if [a.tolist() for a in _ranked(inst, m)] != expected[m]:
+                        wrong.append(m)
+            except Exception as exc:  # reported below, with the thread's failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
 
 
 class TestEvaluate:

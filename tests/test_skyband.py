@@ -10,7 +10,9 @@ table, and the cells pricing skips may not change a price; dp's solve
 and pricing are held to memory bounds.  An instance keeps its ranking
 once computed; calls on a ranked instance must match the same calls each
 made on a fresh equal one, and the GSP slate read off the ranking must
-match a keyed sort of every bidder.
+match a keyed sort of every bidder.  An instance also keeps its pruned
+forms for the two slot counts used last; solving and pricing at every
+slot count up and back down on one instance must match a fresh one.
 """
 
 import tracemalloc
@@ -142,9 +144,10 @@ def keep_every_ad(ecpms, conts, m):
 
 def assert_prune_is_invisible(monkeypatch, inst, method):
     pruned = outcome(inst, method)
+    # A fresh instance, since ``inst`` keeps the forms it pruned.
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_skyband", keep_every_ad)
-        unpruned = outcome(inst, method)
+        unpruned = outcome(AuctionInstance(inst.bidders, inst.slots), method)
     assert pruned == unpruned
 
 
@@ -437,3 +440,37 @@ class TestRankingIsInvisible:
         rng = np.random.default_rng(52 + slots)
         for _ in range(8):
             assert_ranking_is_invisible(quantized_instance(rng, slots), ("dp", "fast"))
+
+
+def by_slot_count(instance, methods):
+    """Every solve and ``vcg_prices`` call at slot counts 1..k, then k..1,
+    each on ``instance()``."""
+    k = instance().slots
+    out = []
+    for j in [*range(1, k + 1), *range(k, 0, -1)]:
+        for method in methods:
+            slate, schedule = vcg_prices(instance(), j, method)
+            out += [solve(instance(), j, method), slate, schedule]
+    return out
+
+
+def assert_kept_forms_are_invisible(inst, methods):
+    """Calls on one instance, which keeps a pruned form per slot count as it
+    goes, give what each call gives on a fresh equal instance."""
+    assert by_slot_count(lambda: inst, methods) == by_slot_count(
+        lambda: AuctionInstance(inst.bidders, inst.slots), methods
+    )
+
+
+class TestKeptFormsAreInvisible:
+    def test_tie_grid(self):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            inst = with_permuted_ids(rng, tie_grid_instance(rng))
+            assert_kept_forms_are_invisible(AuctionInstance(inst.bidders, 4), ("brute", "dp", "fast"))
+
+    @pytest.mark.parametrize("slots", (3, 10))
+    def test_quantized(self, slots):
+        rng = np.random.default_rng(65 + slots)
+        for _ in range(4):
+            assert_kept_forms_are_invisible(quantized_instance(rng, slots), ("dp", "fast"))
