@@ -6,9 +6,11 @@ a CSV table with header ``id,bid,ctr,cont`` (slots then come from
 ``--slots``).  String ids from the file are mapped to dense integers
 internally and mapped back on output.
 
-Every command writes line-delimited JSON records to stdout and diagnostics
-to stderr.  Exit codes: 0 success, 2 invalid input, 3 instance too large
-for the requested solver.
+Only ``main`` loads the file, and only ``_emit`` writes records to stdout:
+one sort-keyed JSON line of a result's fields, with ids mapped back.
+Diagnostics go to stderr.  Exit codes: 0 success (also when the reader
+closes stdout early), 2 invalid input, 3 instance too large for the
+requested solver.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .analysis import check_monotonicity, compare_gsp, sweep_bid
-from .model import Assignment, AuctionInstance, Bidder
+from .model import AuctionInstance, Bidder
 from .optimizer import SizeLimitExceeded, solve
 from .pricing import vcg_prices
 
@@ -43,21 +44,21 @@ class InputError(ValueError):
 
 @dataclass
 class NamedInstance:
-    """An instance plus the original string id for each dense bidder id."""
+    """An instance plus the dense bidder id of each of the file's string
+    ids, which number the file's rows in order."""
 
     instance: AuctionInstance
-    names: list[str]
+    ids: dict[str, int]
+
+    def __post_init__(self) -> None:
+        self.names = list(self.ids)
 
     def name(self, dense_id: int) -> str:
         return self.names[dense_id]
 
-    @cached_property
-    def _dense_ids(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
     def dense(self, name: str) -> int:
         try:
-            return self._dense_ids[name]
+            return self.ids[name]
         except KeyError:
             raise InputError(f"no bidder with id {name!r} in the instance") from None
 
@@ -77,9 +78,9 @@ def _bidder(dense_id: int, name: str, where: str, bid: Any, ctr: Any, cont: Any)
         raise InputError(f"bidder {name!r} ({where}): {str(exc).partition(': ')[2]}") from None
 
 
-def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple[list[Bidder], list[str]]:
+def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple[list[Bidder], dict[str, int]]:
     """The bidders of a file's ``(where, name, bid, ctr, cont)`` rows, with
-    dense ids in row order, and their names; a name may appear only once."""
+    dense ids in row order, and each name's dense id; names are unique."""
     dense: dict[str, int] = {}
     bidders: list[Bidder] = []
     for where, name, bid, ctr, cont in rows:
@@ -87,7 +88,7 @@ def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple
             raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
         bidders.append(_bidder(len(dense), name, where, bid, ctr, cont))
         dense[name] = len(dense)
-    return bidders, list(dense)
+    return bidders, dense
 
 
 def _csv_number(text: str) -> float | str:
@@ -113,7 +114,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
     if not isinstance(rows, list):
         raise InputError(f"{path}: key 'bidders' must be a list")
 
-    def fields() -> Iterable[tuple[str, str, Any, Any, Any]]:
+    def file_rows() -> Iterable[tuple[str, str, Any, Any, Any]]:
         for entry, row in enumerate(rows):
             where = f"entry {entry}"
             if not isinstance(row, dict):
@@ -126,7 +127,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
                     raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
             yield where, name, row["bid"], row["ctr"], row["cont"]
 
-    bidders, names = _bidders(path, fields())
+    bidders, ids = _bidders(path, file_rows())
     if slots_override is not None:
         slots = slots_override
     else:
@@ -135,7 +136,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
             raise InputError(f"{path}: key 'slots' is missing and --slots was not given")
         if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
             raise InputError(f"{path}: 'slots' must be an integer >= 1, got {slots!r}")
-    return NamedInstance(AuctionInstance(tuple(bidders), slots), names)
+    return NamedInstance(AuctionInstance(tuple(bidders), slots), ids)
 
 
 def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
@@ -150,7 +151,7 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                     f"{path}: CSV header must be exactly id,bid,ctr,cont, got {header!r}"
                 )
 
-            def fields() -> Iterable[tuple[str, str, Any, Any, Any]]:
+            def file_rows() -> Iterable[tuple[str, str, Any, Any, Any]]:
                 for line_no, row in enumerate(reader, start=2):
                     where = f"line {line_no}"
                     if row["id"] is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
@@ -159,13 +160,13 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                         raise InputError(f"{path}: {where} has too many columns")
                     yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
 
-            bidders, names = _bidders(path, fields())
+            bidders, ids = _bidders(path, file_rows())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         # An over-long field, or a NUL byte before Python 3.11.
         raise InputError(f"{path}: {exc}") from exc
-    return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
+    return NamedInstance(AuctionInstance(tuple(bidders), slots_override), ids)
 
 
 def load_instance(path: str, fmt: str = "json", slots_override: int | None = None) -> NamedInstance:
@@ -193,49 +194,36 @@ def random_instance(n: int, slots: int, seed: int) -> AuctionInstance:
 # ---------------------------------------------------------------------------
 
 
-def _emit(record: dict) -> None:
+_ID_LISTS = ("order", "selected", "gsp_order", "optimal_order")
+
+
+def _emit(kind: str, result: Any = None, named: NamedInstance | None = None, **extra: Any) -> None:
+    """Write one record of type ``kind`` to stdout as a sort-keyed JSON
+    line: the dataclass ``result``'s fields, with every dense id mapped to
+    ``named``'s file name (``bidder_id`` becomes ``bidder``), plus ``extra``."""
+    record = {} if result is None else {f.name: getattr(result, f.name) for f in fields(result)}
+    if "bidder_id" in record:
+        record["bidder"] = named.name(record.pop("bidder_id"))
+    for key in _ID_LISTS:
+        if key in record:
+            record[key] = [named.name(i) for i in record[key]]
+    record.update(extra, type=kind)
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _emit_assignment(named: NamedInstance, solver: str, slate: Assignment) -> None:
-    _emit(
-        {
-            "type": "assignment",
-            "solver": solver,
-            "slots": named.instance.slots,
-            "order": [named.name(i) for i in slate.order],
-            "efficiency": slate.efficiency,
-            "click_probs": list(slate.click_probs),
-        }
-    )
+def _cmd_assign(ns: argparse.Namespace, named: NamedInstance) -> None:
+    slate = solve(named.instance, method=ns.solver)
+    _emit("assignment", slate, named, solver=ns.solver, slots=named.instance.slots)
 
 
-def _cmd_assign(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, ns.slots)
-    _emit_assignment(named, ns.solver, solve(named.instance, method=ns.solver))
-    return 0
-
-
-def _cmd_price(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, ns.slots)
+def _cmd_price(ns: argparse.Namespace, named: NamedInstance) -> None:
     slate, schedule = vcg_prices(named.instance, solver=ns.solver)
-    _emit_assignment(named, ns.solver, slate)
-    for w in schedule.winners:
-        _emit(
-            {
-                "type": "price",
-                "bidder": named.name(w.bidder_id),
-                "value": w.value,
-                "expected_payment": w.expected_payment,
-                "per_click_price": w.per_click_price,
-                "utility": w.utility,
-            }
-        )
-    return 0
+    _emit("assignment", slate, named, solver=ns.solver, slots=named.instance.slots)
+    for winner in schedule.winners:
+        _emit("price", winner, named)
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, ns.slots)
+def _cmd_sweep(ns: argparse.Namespace, named: NamedInstance) -> None:
     if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
         raise InputError(f"bid grid bounds must be finite, got {ns.start} .. {ns.stop}")
     if ns.start < 0.0 or ns.stop < ns.start:
@@ -246,49 +234,16 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     for bid in grid:
         _bidder(dense, ns.bidder, f"bid {bid!r}", bid, swept.ctr, swept.cont)
     report = sweep_bid(named.instance, dense, grid, solver=ns.solver)
-    for pt in report.points:
-        _emit(
-            {
-                "type": "sweep_point",
-                "bidder": ns.bidder,
-                "bid": pt.bid,
-                "position": pt.position,
-                "click_prob": pt.click_prob,
-                "efficiency": pt.efficiency,
-                "selected": [named.name(i) for i in pt.selected],
-            }
-        )
-    verdict = check_monotonicity(report)
-    _emit(
-        {
-            "type": "monotonicity",
-            "bidder": ns.bidder,
-            "passed": verdict.passed,
-            "first_violation": verdict.first_violation,
-            "reason": verdict.reason,
-        }
-    )
-    return 0
+    for point in report.points:
+        _emit("sweep_point", point, named, bidder=ns.bidder)
+    _emit("monotonicity", check_monotonicity(report), named, bidder=ns.bidder)
 
 
-def _cmd_compare(ns: argparse.Namespace) -> int:
-    named = load_instance(ns.file, ns.format, ns.slots)
-    report = compare_gsp(named.instance, solver=ns.solver)
-    _emit(
-        {
-            "type": "comparison",
-            "slots": report.slots,
-            "gsp_order": [named.name(i) for i in report.gsp_order],
-            "gsp_efficiency": report.gsp_efficiency,
-            "optimal_order": [named.name(i) for i in report.optimal_order],
-            "optimal_efficiency": report.optimal_efficiency,
-            "efficiency_ratio": report.efficiency_ratio,
-        }
-    )
-    return 0
+def _cmd_compare(ns: argparse.Namespace, named: NamedInstance) -> None:
+    _emit("comparison", compare_gsp(named.instance, solver=ns.solver), named)
 
 
-def _cmd_bench(ns: argparse.Namespace) -> int:
+def _cmd_bench(ns: argparse.Namespace) -> None:
     seed = ns.seed
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is not None:
@@ -307,27 +262,25 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     reference_name = "fast" if ns.solver == "dp" else "dp"
     reference = solve(sub, method=reference_name)
     diff = abs(checked.efficiency - reference.efficiency)
+    cross_check = {
+        "n": sub_n,
+        "reference": reference_name,
+        "reference_efficiency": reference.efficiency,
+        "solver_efficiency": checked.efficiency,
+        "abs_diff": diff,
+        "within_tol": diff <= 1e-9,
+    }
     _emit(
-        {
-            "type": "bench",
-            "n": ns.n,
-            "k": ns.k,
-            "seed": seed,
-            "solver": ns.solver,
-            "efficiency": slate.efficiency,
-            "selection_hash": digest,
-            "elapsed_s": elapsed,
-            "cross_check": {
-                "n": sub_n,
-                "reference": reference_name,
-                "reference_efficiency": reference.efficiency,
-                "solver_efficiency": checked.efficiency,
-                "abs_diff": diff,
-                "within_tol": diff <= 1e-9,
-            },
-        }
+        "bench",
+        n=ns.n,
+        k=ns.k,
+        seed=seed,
+        solver=ns.solver,
+        efficiency=slate.efficiency,
+        selection_hash=digest,
+        elapsed_s=elapsed,
+        cross_check=cross_check,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +342,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        if "file" in ns:
+            ns.func(ns, load_instance(ns.file, ns.format, ns.slots))
+        else:
+            ns.func(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull, so the flush
+        # at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # InputError, UnknownBidder and any other library error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -179,8 +179,8 @@ class AuctionInstance:
         reads it, or a pruned form of it kept in ``_pruned``.  The arrays
         are read-only, since every caller shares them.  The attribute is no
         dataclass field, so it takes no part in ``==``, ``hash``, ``repr``
-        or the constructor, and copies made with ``with_bid`` or
-        ``dataclasses.replace`` start unranked.
+        or the constructor, and copies made with ``with_bid``,
+        ``dataclasses.replace``, ``copy`` or ``pickle`` start unranked.
         """
         arrays = canonical_ranks(self.bidders)
         for a in arrays:
@@ -199,6 +199,12 @@ class AuctionInstance:
         and copies start with no forms.
         """
         return {}
+
+    def __getstate__(self) -> dict:
+        """The fields alone, so a pickle or ``copy.copy`` carries no kept
+        ranking or pruned forms and shares none with the original; the
+        copy builds its own on first use."""
+        return {"bidders": self.bidders, "slots": self.slots}
 
     def with_bid(self, bidder_id: int, bid: float) -> "AuctionInstance":
         """A copy of the instance with one bidder's bid replaced."""

@@ -225,6 +225,12 @@ class TestBench:
         assert code == 0
         (rec,) = records(out)
         assert rec["type"] == "bench" and rec["seed"] == 3
+        assert set(rec) == {
+            "type", "n", "k", "seed", "solver", "efficiency", "selection_hash", "elapsed_s", "cross_check",
+        }
+        assert set(rec["cross_check"]) == {
+            "n", "reference", "reference_efficiency", "solver_efficiency", "abs_diff", "within_tol",
+        }
         assert rec["n"] == 50 and rec["k"] == 5
         assert len(rec["selection_hash"]) == 64
         assert rec["cross_check"]["within_tol"] is True
@@ -571,6 +577,22 @@ class TestSubprocess:
         )
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"error: {path} is not valid JSON")
+
+    def test_closed_stdout_exits_0_silently(self, page_file):
+        # The reader takes one record and closes the pipe while the sweep
+        # still has megabytes to write.
+        argv = ["sweep", page_file, "--bidder", "c", "--from", "0", "--to", "12", "--steps", "20000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "markov_auction", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        try:
+            assert proc.stdout.readline().startswith(b'{"bid": 0.0')
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (0, b"")
 
     def test_module_entry_point_in_process(self, capsys, monkeypatch, page_file):
         monkeypatch.setattr(sys, "argv", ["markov_auction", "assign", page_file])

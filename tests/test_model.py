@@ -310,6 +310,23 @@ class TestPrunedForms:
         assert "_pruned" not in dataclasses.replace(page).__dict__
         assert "_pruned" not in dataclasses.replace(page, slots=1).__dict__
 
+    def test_pickles_and_copies_carry_no_forms(self):
+        inst = random_instance(np.random.default_rng(57), 60, 4, min_n=40)
+        unsolved = pickle.dumps(inst)
+        slate, schedule = vcg_prices(inst)
+        assert inst._pruned
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        assert "ranking" not in back.__dict__ and "_pruned" not in back.__dict__
+        assert len(pickle.dumps(inst)) == len(unsolved)
+        assert vcg_prices(back) == (slate, schedule)
+        assert back._pruned
+        for a in (*back.ranking, *(a for form in back._pruned.values() for a in form)):
+            assert not a.flags.writeable
+        copied = copy.copy(inst)
+        assert "ranking" not in copied.__dict__ and "_pruned" not in copied.__dict__
+        assert copied._pruned is not inst._pruned
+
     def test_a_third_slot_count_evicts_the_oldest(self, monkeypatch):
         inst = random_instance(np.random.default_rng(55), 60, 1, min_n=40)
         calls = self.counted(monkeypatch)
