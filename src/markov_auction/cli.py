@@ -10,7 +10,7 @@ Only ``main`` loads the file, and only ``_emit`` writes records to stdout:
 one sort-keyed JSON line of a result's fields, with ids mapped back.
 Diagnostics go to stderr.  Exit codes: 0 success (also when the reader
 closes stdout early), 2 invalid input, 3 instance too large for the
-requested solver.
+requested solver or a request (``--n``, ``--steps``) too large for memory.
 """
 
 from __future__ import annotations
@@ -44,22 +44,19 @@ class InputError(ValueError):
 
 @dataclass
 class NamedInstance:
-    """An instance plus the dense bidder id of each of the file's string
-    ids, which number the file's rows in order."""
+    """An instance plus the file's string ids in row order; the dense
+    bidder id of each is its row's index."""
 
     instance: AuctionInstance
-    ids: dict[str, int]
-
-    def __post_init__(self) -> None:
-        self.names = list(self.ids)
+    names: list[str]
 
     def name(self, dense_id: int) -> str:
         return self.names[dense_id]
 
     def dense(self, name: str) -> int:
         try:
-            return self.ids[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise InputError(f"no bidder with id {name!r} in the instance") from None
 
 
@@ -78,9 +75,9 @@ def _bidder(dense_id: int, name: str, where: str, bid: Any, ctr: Any, cont: Any)
         raise InputError(f"bidder {name!r} ({where}): {str(exc).partition(': ')[2]}") from None
 
 
-def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple[list[Bidder], dict[str, int]]:
+def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple[list[Bidder], list[str]]:
     """The bidders of a file's ``(where, name, bid, ctr, cont)`` rows, with
-    dense ids in row order, and each name's dense id; names are unique."""
+    dense ids in row order, and their names in that order; names are unique."""
     dense: dict[str, int] = {}
     bidders: list[Bidder] = []
     for where, name, bid, ctr, cont in rows:
@@ -88,7 +85,7 @@ def _bidders(path: str, rows: Iterable[tuple[str, str, Any, Any, Any]]) -> tuple
             raise InputError(f"{path}: bidder id {name!r} ({where}) appears more than once")
         bidders.append(_bidder(len(dense), name, where, bid, ctr, cont))
         dense[name] = len(dense)
-    return bidders, dense
+    return bidders, list(dense)
 
 
 def _csv_number(text: str) -> float | str:
@@ -127,7 +124,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
                     raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
             yield where, name, row["bid"], row["ctr"], row["cont"]
 
-    bidders, ids = _bidders(path, file_rows())
+    bidders, names = _bidders(path, file_rows())
     if slots_override is not None:
         slots = slots_override
     else:
@@ -136,7 +133,7 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
             raise InputError(f"{path}: key 'slots' is missing and --slots was not given")
         if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
             raise InputError(f"{path}: 'slots' must be an integer >= 1, got {slots!r}")
-    return NamedInstance(AuctionInstance(tuple(bidders), slots), ids)
+    return NamedInstance(AuctionInstance(tuple(bidders), slots), names)
 
 
 def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
@@ -160,13 +157,13 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
                         raise InputError(f"{path}: {where} has too many columns")
                     yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
 
-            bidders, ids = _bidders(path, file_rows())
+            bidders, names = _bidders(path, file_rows())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         # An over-long field, or a NUL byte before Python 3.11.
         raise InputError(f"{path}: {exc}") from exc
-    return NamedInstance(AuctionInstance(tuple(bidders), slots_override), ids)
+    return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
 
 
 def load_instance(path: str, fmt: str = "json", slots_override: int | None = None) -> NamedInstance:
@@ -353,8 +350,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except SizeLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeLimitExceeded, MemoryError) as exc:  # numpy's MemoryError names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:  # InputError, UnknownBidder and any other library error
         print(f"error: {exc}", file=sys.stderr)

@@ -34,9 +34,10 @@ swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
 the survivors' positions in the instance in canonical order with their
 ecpms and conts.  Each solver body returns the ranks it picks from it and
-``_slate`` turns them into the caller's ``Assignment``; VCG pricing folds
-the take/skip value rows itself (``_climb``), whichever solver picked the
-slate, and builds no slate.
+``_slate`` turns them into the caller's ``Assignment``; VCG pricing
+(``pricing.vcg_prices``) reads the (k+1)-skyband form and folds the
+take/skip value rows in its own walk up the ranks, whichever solver
+picked the slate, and builds no slate.
 """
 
 from __future__ import annotations
@@ -297,25 +298,6 @@ def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
             break
         i += 1
     return chosen
-
-
-def _climb(ecpms: Sequence[float], conts: Sequence[float], lo: int, hi: int, m: int, row: list[float]) -> list[float]:
-    """The value row ``best(lo, 0..m)`` folded up from ``row``, the row under
-    rank ``hi - 1``, over ranks ``hi - 1 .. lo`` in one copy of ``row``.
-
-    Only the cells that ``best(0, m)`` reads are computed: at rank ``i``,
-    ``best(i, r)`` for ``r >= m - i``, which read cells ``r - 1 >= m - i - 1``
-    of the row under.  The others keep stale values.  Each computed cell
-    takes the same float operations, in the same order, as ``_dp``'s columns.
-    """
-    row = row.copy()
-    for i in range(hi - 1, lo - 1, -1):
-        e_i, q_i = ecpms[i], conts[i]
-        for r in range(m, max(m - i, 1) - 1, -1):
-            taken = row[r - 1] * q_i + e_i
-            if taken > row[r]:
-                row[r] = taken
-    return row
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _climb, _ranked, effective_slots, solve
+from .optimizer import _ranked, effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -69,14 +69,15 @@ def vcg_prices(
     slots-skyband its slate solve reads: an ad ``slots + 1`` others beat
     on both ecpm and adjusted ecpm is still beaten ``slots`` times without
     any one winner.  Removing the winner at rank ``p`` leaves the take/skip
-    value rows under ``p`` as they are, so one row is folded up once, a
-    copy of it kept under each winner, and each copy is resumed over ranks
-    ``p-1 .. 0``.  Both climbs compute at rank ``i`` only the cells the
-    top value reads, those with at least ``slots - i`` open slots.  The top
-    value is the largest Horner sum over the slates without the winner,
-    bit-equal to an exhaustive re-solve's.  Rounding can put the difference
-    an ulp outside VCG's range, so the payment is clamped to ``[0, v_i]``
-    and the per-click price to at most the bid.
+    value rows under ``p`` as they are, so one walk up the ranks prices
+    every winner: at a winner's rank it copies the row of every ad folded
+    so far, and folds each later rank into that copy too.  At rank ``i``
+    it computes only the cells the top value reads, those with at least
+    ``slots - i`` open slots.  The top value is the largest Horner sum over
+    the slates without the winner, bit-equal to an exhaustive re-solve's.
+    Rounding can put the difference an ulp outside VCG's range, so the
+    payment is clamped to ``[0, v_i]`` and the per-click price to at most
+    the bid.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -91,20 +92,33 @@ def vcg_prices(
     m = effective_slots(inst, slots)
     order, ecpms, conts = _ranked(inst, m + 1)
     m = min(m, len(order) - 1)  # the slots of each re-solve
-    rank_of = {inst.bidders[i].id: r for r, i in enumerate(order.tolist())}
-    ranks = [rank_of[bidder_id] for bidder_id in slate.order]
-    e, q = ecpms.tolist(), conts.tolist()
-    under, row, top = {}, [0.0] * (m + 1), len(e)
-    for r in sorted(ranks, reverse=True):
-        row = under[r] = _climb(e, q, r + 1, top, m, row)
-        top = r + 1
+    bidders, e, q = inst.bidders, ecpms.tolist(), conts.tolist()
+    # rows[0] holds every ad folded so far while a winner lies ahead; each
+    # later row, one per winner passed, deepest first, every ad but that one.
+    rows = [[0.0] * (m + 1)]
+    ahead, bids = list(slate.order), []
+    for i, at in zip(range(len(e) - 1, -1, -1), reversed(order.tolist())):
+        held = None
+        if ahead and bidders[at].id == ahead[-1]:
+            ahead.pop()
+            bids.append(bidders[at].bid)
+            held = rows[0].copy()
+            if not ahead:
+                del rows[0]
+        e_i, q_i, cells = e[i], q[i], range(m, max(m - i, 1) - 1, -1)
+        for row in rows:
+            for r in cells:
+                taken = row[r - 1] * q_i + e_i
+                if taken > row[r]:
+                    row[r] = taken
+        if held is not None:
+            rows.append(held)
     winners: list[WinnerPrice] = []
-    for bidder_id, click, r in zip(slate.order, slate.click_probs, ranks):
+    for bidder_id, click, bid, row in zip(slate.order, slate.click_probs, bids[::-1], rows[::-1]):
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
-        bid = inst.bidders[order[r]].bid
         value = click * bid
-        others_alone = _climb(e, q, 0, r, m, under[r])[m]
+        others_alone = row[m]
         payment = min(max(others_alone - (slate.efficiency - value), 0.0), value)
         winners.append(
             WinnerPrice(

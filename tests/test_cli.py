@@ -497,6 +497,16 @@ class TestSizeLimit:
         code, out, err = run(capsys, "compare", str(path), "--solver", "brute")
         assert code == 3 and out == "" and "error:" in err
 
+    # 10**15 float64 values take 7.1 PiB, an allocation that fails at once.
+    @pytest.mark.parametrize("args", (
+        ("sweep", "{page}", "--bidder", "a", "--from", "0", "--to", "1", "--steps", str(10**15)),
+        ("bench", "--n", str(10**15), "--k", "3"),
+    ), ids=("sweep-steps", "bench-n"))
+    def test_request_beyond_memory_exits_3(self, capsys, page_file, args):
+        code, out, err = run(capsys, *(arg.format(page=page_file) for arg in args))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestLibraryErrors:
     def test_value_error_exits_2(self, capsys, monkeypatch, page_file):

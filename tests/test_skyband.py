@@ -5,8 +5,9 @@ a keyed sort and a quadratic count; property tests check that
 solving and pricing on the survivors gives exactly what solving on every
 ad does.  The unpruned reference comes from replacing the prune with one
 that keeps every ad, and the pricing reference rebuilds an instance per
-winner; dp's table pricing is checked against it at each edge of the
-table, and the cells pricing skips may not change a price; dp's solve
+winner; the pricing walk is checked against it at each edge of the
+walk, on all-skyline inputs whose winners sit deep, and the cells
+pricing skips may not change a price; dp's solve
 and pricing are held to memory bounds.  An instance keeps its ranking
 once computed; calls on a ranked instance must match the same calls each
 made on a fresh equal one, and the GSP slate read off the ranking must
@@ -254,6 +255,19 @@ class TestResolvesOnRankedSurvivors:
             inst = quantized_instance(rng, slots)
             assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
 
+    @pytest.mark.parametrize("method", ("dp", "fast"))
+    def test_all_skyline(self, method):
+        # ecpm = 1.01 - cont**2 falls as adjusted ecpm rises, so no ad beats
+        # another, none is pruned and winners sit deep with many ranks
+        # between them.  Too many ads for brute.
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            n = int(rng.integers(40, 201))
+            conts = rng.uniform(0.0, 0.99, n)
+            ctrs = 1.0 - rng.random(n)
+            inst = columns_instance((1.01 - conts * conts) / ctrs, ctrs, conts, int(rng.integers(3, 9)))
+            assert ranked_prices(inst, method) == rebuilt_prices(inst, method)
+
 
 def winner_ranks(inst):
     """The dp winners' ranks among the ads its re-solves run on (the
@@ -294,10 +308,10 @@ def assert_table_prices(inst):
 
 
 class TestTablePricing:
-    """dp prices every winner from one value table, resumed from the row
-    under each winner and computing at rank i only the cells with at least
-    slots - i open slots; each edge of the table against one public solve
-    per winner on a rebuilt instance and against full value rows."""
+    """Pricing walks the ranks once, folding each into a copy of the row
+    under each winner passed and computing at rank i only the cells with
+    at least slots - i open slots; each edge of the walk against one public
+    solve per winner on a rebuilt instance and against full value rows."""
 
     def test_winner_at_rank_zero(self):
         bidders = [Bidder(0, 4.0, 0.5, 0.5), Bidder(1, 2.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.0)]
