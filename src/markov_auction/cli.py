@@ -50,9 +50,6 @@ class NamedInstance:
     instance: AuctionInstance
     names: list[str]
 
-    def name(self, dense_id: int) -> str:
-        return self.names[dense_id]
-
     def dense(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -200,10 +197,10 @@ def _emit(kind: str, result: Any = None, named: NamedInstance | None = None, **e
     ``named``'s file name (``bidder_id`` becomes ``bidder``), plus ``extra``."""
     record = {} if result is None else {f.name: getattr(result, f.name) for f in fields(result)}
     if "bidder_id" in record:
-        record["bidder"] = named.name(record.pop("bidder_id"))
+        record["bidder"] = named.names[record.pop("bidder_id")]
     for key in _ID_LISTS:
         if key in record:
-            record[key] = [named.name(i) for i in record[key]]
+            record[key] = [named.names[i] for i in record[key]]
     record.update(extra, type=kind)
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -227,7 +224,7 @@ def _cmd_sweep(ns: argparse.Namespace, named: NamedInstance) -> None:
         raise InputError(f"bid grid must satisfy 0 <= from <= to, got {ns.start} .. {ns.stop}")
     dense = named.dense(ns.bidder)
     grid = [float(x) for x in np.linspace(ns.start, ns.stop, ns.steps)]
-    swept = named.instance.bidder(dense)
+    swept = named.instance.bidders[dense]
     for bid in grid:
         _bidder(dense, ns.bidder, f"bid {bid!r}", bid, swept.ctr, swept.cont)
     report = sweep_bid(named.instance, dense, grid, solver=ns.solver)

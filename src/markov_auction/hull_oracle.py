@@ -16,6 +16,7 @@ return the scan's (lowest) index; ``HullIndex.query_max`` says when.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = ["EmptyInput", "EmptyRange", "LinearQuery", "HullIndex", "build"]
@@ -90,21 +91,6 @@ def _arc(pts: list[_Vertex]) -> tuple[_Vertex, ...]:
         if hull[t][1] > hull[peak][1]:
             peak = t
     return tuple(hull[peak:])
-
-
-def _merge(left: Sequence[_Vertex], right: Sequence[_Vertex]) -> tuple[_Vertex, ...]:
-    out: list[_Vertex] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i][0] <= right[j][0]:
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return _arc(out)
 
 
 class HullIndex:
@@ -202,7 +188,9 @@ def build(points: Iterable[tuple[float, float]]) -> HullIndex:
     """Index (cont, ecpm) points, given in canonical sorted order.
 
     Leaf blocks are single points; each further level merges pairs of
-    child hulls, so construction is O(n log n) overall.
+    child hulls, so construction is O(n log n) overall.  A stable sort of
+    the two arcs merges their ascending runs in linear time and keeps the
+    left child's vertex first among equal conts.
 
     Raises:
         EmptyInput: if there are no points.
@@ -214,7 +202,7 @@ def build(points: Iterable[tuple[float, float]]) -> HullIndex:
     levels = [level]
     while len(level) > 1:
         nxt = [
-            _merge(level[a], level[a + 1]) if a + 1 < len(level) else level[a]
+            _arc(sorted(level[a] + level[a + 1], key=itemgetter(0))) if a + 1 < len(level) else level[a]
             for a in range(0, len(level), 2)
         ]
         levels.append(nxt)

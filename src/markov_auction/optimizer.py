@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heapify, heappushpop
+from heapq import heappushpop
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -129,12 +129,9 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
     the rest keeps exactly the same ranks.  Below ``4 * m`` ads there is no
     checkpoint and the loop sees every ad.
 
-    Records, candidates whose ecpm is at least every earlier one's, are
-    kept too, as no floor exceeds them.  The first candidate that is not
-    one is the first whose ecpm falls below its predecessor's.  The loop
-    starts at its group, with the heap seeded by one ``np.partition`` with
-    the m largest ecpms before that group; with no such candidate, no loop
-    runs.
+    When no candidate's ecpm falls below its predecessor's, each is a
+    record, at least every earlier ecpm, which no floor exceeds, so every
+    candidate is kept and the loop does not run.
     """
     ecpms = np.asarray(ecpms, dtype=float)
     adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
@@ -153,21 +150,13 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int
         checkpoint *= 2
     ranks = candidate.nonzero()[0]
     cand_e = ecpms[ranks]
-    drops = (cand_e[1:] < cand_e[:-1]).nonzero()[0]
-    if not len(drops):
+    if not (cand_e[1:] < cand_e[:-1]).any():
         return ranks.tolist()
-    first = int(drops[0]) + 1
-    cand_adj = adjs[ranks]
-    # Resume at the start of that candidate's group, with the heap the
-    # loop would hold there: the m largest ecpms before it, padded.
-    resume = int((cand_adj[: first + 1] == cand_adj[first]).argmax())
-    heap = (np.partition(cand_e[:resume], resume - m)[resume - m :] if resume > m else cand_e[:resume]).tolist()
-    heap += [-math.inf] * (m - len(heap))
-    heapify(heap)
-    keep = ranks[:resume].tolist()
+    heap = [-math.inf] * m
+    keep = []
     group_adj = None
     floor = -math.inf
-    for t, e, adj in zip(ranks[resume:].tolist(), cand_e[resume:].tolist(), cand_adj[resume:].tolist()):
+    for t, e, adj in zip(ranks.tolist(), cand_e.tolist(), adjs[ranks].tolist()):
         if adj != group_adj:
             group_adj = adj
             floor = heap[0]
@@ -262,11 +251,12 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     the backtrack stops at an ad with ``cont == 0``: nothing below it can
     be clicked.  The recursion runs over the k-skyband survivors, so the
     cost is an O(n log n) numpy sort once per instance, an O(n) prune
-    bound and records pass plus an O(c log slots) exact prune over the
-    ``c`` ads they leave once per slot count, then one numpy pass over
-    the survivors per open-slot count, so O(survivors * slots) numpy work.  The passes keep two value columns and
-    a bool mask of where "take" wins; the backtrack reads one mask row per
-    slot.
+    bound plus an O(c log slots) exact prune over the ``c`` ads it leaves
+    (skipped when all are ecpm records) once per slot count, then one
+    numpy pass over the survivors per open-slot count, so
+    O(survivors * slots) numpy work.  The passes keep two value columns
+    and a bool mask of where "take" wins; the backtrack reads one mask row
+    per slot.
     """
     return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
 

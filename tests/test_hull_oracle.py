@@ -109,6 +109,11 @@ class TestHullPruning:
         assert hx.query_max(LinearQuery(1.0, 0.0, 0, 1)) == (0, 5.0)
         assert hx.query_max(LinearQuery(1.0, 1.0, 0, 1))[0] == 1
 
+    def test_flat_top_edge_tie_goes_to_lowest_index(self):
+        # Both points score 2.0; the merged arc holds index 1 first, so the
+        # search lands on it and the flat edge's lower index 0 must win.
+        assert build([(0.5, 1.0), (0.0, 2.0)]).query_max(LinearQuery(1.0, 2.0, 0, 1)) == (0, 2.0)
+
     def test_equal_cont_scores_that_round_equal_keep_the_scan_value(self):
         # The ecpms differ (3.3949999999999996 and 3.395) but score the same
         # float; the block keeps only the higher ecpm, index 1, where a scan

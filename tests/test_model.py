@@ -212,6 +212,8 @@ class TestAuctionInstance:
         assert probe.bidder(1).bid == page.bidder(1).bid
         with pytest.raises(KeyError):
             page.with_bid(99, 1.0)
+        with pytest.raises(KeyError):
+            page.bidder(99)
 
 
 class TestRankingCache:

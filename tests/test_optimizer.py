@@ -297,6 +297,13 @@ class TestMarginalBestInsert:
         assert bidder_id == 3
         assert eff == pytest.approx(2.85, abs=1e-9)
 
+    def test_gap_no_user_reaches_keeps_the_slate_value(self):
+        # Bidder 0 has cont 0, so an ad placed below it is never seen: the
+        # gap is scored at the slate's own value without a hull query.
+        bidders = (Bidder(0, 4.0, 1.0, 0.0), Bidder(1, 1.0, 1.0, 0.5), Bidder(2, 0.5, 1.0, 0.2))
+        inst = AuctionInstance(bidders, 3)
+        assert marginal_best_insert(inst, Assignment.from_bidders(bidders[:1])) == (1, 4.0)
+
     def test_full_slate_has_no_candidate(self, page):
         slate = solve(page, 3, "dp")
         with pytest.raises(NoCandidate):

@@ -98,8 +98,8 @@ def checked_skyband(rows, slots_list):
 
 class TestRecordsRule:
     """An ad whose ecpm is at least every earlier ad's is never beaten, so
-    the exact loop starts at the group of the first ad that is not such a
-    record, with its heap seeded from the ecpms before that group."""
+    when every candidate is such a record the heap loop is skipped; a
+    single non-record runs it over every candidate."""
 
     def test_record_prefix_then_dominated_ads(self):
         rows = [(1.0, 0.9), (2.0, 0.75), (3.0, 0.5), (0.5, 0.8), (0.4, 0.5), (0.3, 0.0)]
