@@ -10,7 +10,7 @@ both scores never loses value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,9 +97,14 @@ def sweep_bid(
     Raises:
         UnknownBidder: if ``bidder_id`` is not in the instance.
     """
+    return SweepReport(bidder_id, tuple(_sweep_points(inst, bidder_id, bids, solver)))
+
+
+def _sweep_points(inst: AuctionInstance, bidder_id: int, bids: Sequence[float], solver: str) -> Iterator[SweepPoint]:
+    """``sweep_bid``'s points, each solved when it is asked for, so a caller
+    can write one before the next is solved; an error raises at the first."""
     if all(b.id != bidder_id for b in inst.bidders):
         raise UnknownBidder(f"no bidder with id {bidder_id}")
-    points: list[SweepPoint] = []
     for bid in bids:
         slate = solve(inst.with_bid(bidder_id, float(bid)), method=solver)
         if bidder_id in slate.order:
@@ -107,8 +112,7 @@ def sweep_bid(
             position, click = rank + 1, slate.click_probs[rank]
         else:
             position, click = 0, 0.0
-        points.append(SweepPoint(float(bid), position, click, slate.efficiency, slate.order))
-    return SweepReport(bidder_id, tuple(points))
+        yield SweepPoint(float(bid), position, click, slate.efficiency, slate.order)
 
 
 def check_monotonicity(report: SweepReport, tol: float = 1e-12) -> MonotonicityVerdict:

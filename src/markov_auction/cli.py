@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .analysis import check_monotonicity, compare_gsp, sweep_bid
+from .analysis import SweepReport, _sweep_points, check_monotonicity, compare_gsp
 from .model import AuctionInstance, Bidder
 from .optimizer import SizeLimitExceeded, solve
 from .pricing import vcg_prices
@@ -227,10 +227,11 @@ def _cmd_sweep(ns: argparse.Namespace, named: NamedInstance) -> None:
     swept = named.instance.bidders[dense]
     for bid in grid:
         _bidder(dense, ns.bidder, f"bid {bid!r}", bid, swept.ctr, swept.cont)
-    report = sweep_bid(named.instance, dense, grid, solver=ns.solver)
-    for point in report.points:
+    points = []
+    for point in _sweep_points(named.instance, dense, grid, ns.solver):
         _emit("sweep_point", point, named, bidder=ns.bidder)
-    _emit("monotonicity", check_monotonicity(report), named, bidder=ns.bidder)
+        points.append(point)
+    _emit("monotonicity", check_monotonicity(SweepReport(dense, tuple(points))), named, bidder=ns.bidder)
 
 
 def _cmd_compare(ns: argparse.Namespace, named: NamedInstance) -> None:

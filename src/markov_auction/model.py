@@ -176,7 +176,7 @@ class AuctionInstance:
         for the life of the instance: 24 bytes per ad.
 
         Every solve, ``vcg_prices`` and ``compare_gsp`` on this instance
-        reads it, or a pruned form of it kept in ``_pruned``.  The arrays
+        reads it, or the pruned pair of it kept in ``_pruned``.  The arrays
         are read-only, since every caller shares them.  The attribute is no
         dataclass field, so it takes no part in ``==``, ``hash``, ``repr``
         or the constructor, and copies made with ``with_bid``,
@@ -187,22 +187,19 @@ class AuctionInstance:
             a.setflags(write=False)
         return arrays
 
-    @cached_property
-    def _pruned(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The ranking pruned to the k-skyband, keyed by slot count k, for
-        at most the two slot counts used last; ``optimizer._ranked`` fills
-        it and reads it.
-
-        A form holds 24 bytes per survivor (position, ecpm and cont), in
-        read-only arrays, or is the ranking's own arrays when nothing is
-        pruned.  Like ``ranking``, it takes no part in the instance's value,
-        and copies start with no forms.
-        """
-        return {}
+    _pruned = None
+    """``(k, k-form, (k+1)-form)``, the ranking pruned to the k- and the
+    (k+1)-skyband for the slot count ``k`` pruned last, or ``None``;
+    ``optimizer._ranked`` writes it in one store and reads it.  A form holds
+    24 bytes per survivor (position, ecpm and cont) in read-only arrays, or
+    is the ranking's own arrays when nothing is pruned.  Like ``ranking``,
+    the pair is no dataclass field: it takes no part in the instance's
+    value, and copies start with none.
+    """
 
     def __getstate__(self) -> dict:
         """The fields alone, so a pickle or ``copy.copy`` carries no kept
-        ranking or pruned forms and shares none with the original; the
+        ranking or pruned pair and shares none with the original; the
         copy builds its own on first use."""
         return {"bidders": self.bidders, "slots": self.slots}
 

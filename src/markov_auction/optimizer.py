@@ -26,9 +26,9 @@ Each solver starts from the instance's canonical ranking
 (``AuctionInstance.ranking``: one numpy index sort, computed on the
 instance's first solve and reused by every later one) pruned
 (``_ranked``) to the k-skyband, the ads that fewer than ``k`` others beat
-strictly on both ecpm and adjusted ecpm.  The instance keeps the pruned
-form for the two slot counts used last, 24 bytes per survivor, so later
-solves at the same slot count prune nothing.
+strictly on both ecpm and adjusted ecpm.  One pass finds the k- and the
+(k+1)-skyband, and the instance keeps that pair for the slot count pruned
+last, 24 bytes per survivor, so a priced auction prunes once.
 An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
 swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
@@ -107,95 +107,94 @@ def effective_slots(inst: AuctionInstance, slots: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> list[int]:
+def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> tuple[list[int], list[int]]:
     """Ranks of the ads that fewer than ``m`` others beat strictly on both
-    ecpm and adjusted ecpm; the input is in canonical order, as lists or
-    float64 arrays.
+    ecpm and adjusted ecpm, and of those that fewer than ``m + 1`` beat:
+    the m- and the (m+1)-skyband of canonically ordered lists or arrays.
 
     Only ads of strictly higher adjusted ecpm can beat an ad, and those all
     come before it, in earlier groups of equal adjusted ecpm.  A min-heap,
-    padded with ``-inf``, keeps the ``m`` largest ecpms seen so far; its
-    least entry taken when a group starts (``floor``) is the m-th largest
-    ecpm of the earlier groups, so an ad is beaten at least ``m`` times
-    exactly when ``floor`` is above its ecpm.  A dropped ad's ecpm is below
-    every heap entry, where pushing it would change nothing, so only
-    survivors are pushed.
+    padded with ``-inf``, keeps the ``m + 1`` largest ecpms seen so far.
+    When a group starts, its least entry (``wide_floor``) is the (m+1)-th
+    largest ecpm of the earlier groups and the lesser of ``heap[1:3]``
+    (``floor``) the m-th, so an ad is beaten ``m + 1`` (or ``m``) times
+    exactly when ``wide_floor`` (or ``floor``) is above its ecpm.  Other
+    ads' ecpms are below every heap entry, so only (m+1)-band ads are pushed.
 
     Before that loop, a vectorised bound drops most of the losers.  At
-    doubling checkpoints from ``4 * m``, the m-th largest ecpm before the
-    checkpoint's group is a lower bound on the floor of every ad from the
-    checkpoint to the next one, and those below it are dropped.  The loop
-    would drop them too, and they never enter the heap, so the loop over
-    the rest keeps exactly the same ranks.  Below ``4 * m`` ads there is no
-    checkpoint and the loop sees every ad.
+    doubling checkpoints from ``4 * (m + 1)``, the (m+1)-th largest ecpm
+    before the checkpoint's group bounds ``wide_floor`` from below for
+    every ad up to the next checkpoint, and those below it are dropped.
+    The loop would drop them from both bands, and they never enter the
+    heap, so it keeps exactly the same ranks.
 
     When no candidate's ecpm falls below its predecessor's, each is a
     record, at least every earlier ecpm, which no floor exceeds, so every
-    candidate is kept and the loop does not run.
+    candidate is in both bands and the loop does not run.
     """
     ecpms = np.asarray(ecpms, dtype=float)
     adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
-    n = len(ecpms)
+    n, wide = len(ecpms), m + 1
     candidate = np.empty(n, dtype=bool)
     candidate.fill(True)
-    checkpoint = 4 * m
+    checkpoint = 4 * wide
     while checkpoint < n:
         # The checkpoint's group starts after the ads of strictly higher
         # adjusted ecpm; the reversed view is in ascending order.
         start = n - int(np.searchsorted(adjs[::-1], adjs[checkpoint], side="right"))
-        if start >= m:
-            bound = np.partition(ecpms[:start], start - m)[start - m]
+        if start >= wide:
+            bound = np.partition(ecpms[:start], start - wide)[start - wide]
             block = slice(checkpoint, 2 * checkpoint)
             candidate[block] = ecpms[block] >= bound
         checkpoint *= 2
     ranks = candidate.nonzero()[0]
     cand_e = ecpms[ranks]
     if not (cand_e[1:] < cand_e[:-1]).any():
-        return ranks.tolist()
-    heap = [-math.inf] * m
-    keep = []
+        ranks = ranks.tolist()
+        return ranks, ranks
+    heap = [-math.inf] * wide
+    keep, keep_wide = [], []
     group_adj = None
-    floor = -math.inf
     for t, e, adj in zip(ranks.tolist(), cand_e.tolist(), adjs[ranks].tolist()):
         if adj != group_adj:
             group_adj = adj
-            floor = heap[0]
-        if floor > e:
+            wide_floor, floor = heap[0], min(heap[1:3])
+        if wide_floor > e:
             continue
-        keep.append(t)
+        keep_wide.append(t)
+        if floor <= e:
+            keep.append(t)
         heappushpop(heap, e)
-    return keep
+    return keep, keep_wide
 
 
 def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranked form of an instance for ``m`` slots: its kept canonical
     ranking, pruned to the m-skyband unless every ad fits in the slots.
 
-    The survivors depend only on the instance and ``m``, so each pruned
-    form is kept on the instance (``AuctionInstance._pruned``) and later
-    calls with the same ``m`` prune nothing.  Only the two slot counts used
-    last are kept, the ``k`` and ``k + 1`` that one ``vcg_prices`` reads.
-    The arrays are read-only, and with nothing pruned they are the
+    The survivors depend only on the instance and ``m``.  One ``_skyband``
+    pass at ``k`` gives the k- and the (k+1)-skyband, the forms a solve and
+    ``vcg_prices`` read, and the instance keeps them as one pair
+    (``AuctionInstance._pruned``), so calls with ``m`` equal to ``k`` or
+    ``k + 1`` prune nothing; any other ``m`` prunes again and replaces the
+    pair.  The arrays are read-only, and with nothing pruned they are the
     ranking's own."""
     ranking = inst.ranking
     if len(ranking[0]) <= m:
         return ranking
-    forms = inst._pruned
-    form = forms.pop(m, None)
-    if form is None:
-        keep = _skyband(ranking[1], ranking[2], m)
-        form = ranking
-        if len(keep) < len(ranking[0]):
-            form = tuple(a[keep] for a in ranking)
-            for a in form:
-                a.setflags(write=False)
-        # Keep the slot count used last beside this one.  Each step is one
-        # dict operation, so an instance shared by threads at worst prunes
-        # a slot count twice.
-        for old in list(forms)[:-1]:
-            forms.pop(old, None)
-    forms[m] = form
-    return form
+    kept = inst._pruned
+    if kept is None or not 0 <= m - kept[0] <= 1:
+        kept = (m,)
+        for keep in _skyband(ranking[1], ranking[2], m):
+            form = ranking
+            if len(keep) < len(ranking[0]):
+                form = tuple(a[keep] for a in ranking)
+                for a in form:
+                    a.setflags(write=False)
+            kept += (form,)
+        # One store, so an instance shared by threads at worst prunes twice.
+        object.__setattr__(inst, "_pruned", kept)
+    return kept[1 + m - kept[0]]
 
 
 def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -> Assignment:
@@ -417,7 +416,11 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
             # exactly the slate's current value.
             gap_base = np.where(ce[:gaps] == 0.0, current, gap_base)
         widths = edges[1 : gaps + 1] - edges[:gaps]
-        lin = ce[:gaps].repeat(widths) * ecpms + cq[:gaps].repeat(widths) * conts
+        lin = ce[:gaps].repeat(widths)
+        lin *= ecpms
+        term = cq[:gaps].repeat(widths)
+        term *= conts
+        lin += term
         lin[edges[1:gaps]] = -np.inf
         gap_max = np.maximum.reduceat(lin, edges[:gaps])
         score = gap_base + gap_max

@@ -65,9 +65,9 @@ def vcg_prices(
     ``solver`` only chooses who picks the slate (a plain ``solve``); the
     winners are priced one way, so a slate is charged the same whichever
     solver picked it.  The re-solves run on the instance's ranking pruned
-    to the (slots + 1)-skyband, a form the instance keeps beside the
-    slots-skyband its slate solve reads: an ad ``slots + 1`` others beat
-    on both ecpm and adjusted ecpm is still beaten ``slots`` times without
+    to the (slots + 1)-skyband, which the slate solve's one prune keeps
+    beside the slots-skyband it reads: an ad ``slots + 1`` others beat on
+    both ecpm and adjusted ecpm is still beaten ``slots`` times without
     any one winner.  Removing the winner at rank ``p`` leaves the take/skip
     value rows under ``p`` as they are, so one walk up the ranks prices
     every winner: at a winner's rank it copies the row of every ad folded

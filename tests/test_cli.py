@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from markov_auction import Bidder, DegenerateClickProb, evaluate
-from markov_auction import cli
+from markov_auction import analysis, cli
 from markov_auction.cli import SEED_ENV_VAR, load_instance, main
 
 PAGE_DOC = {
@@ -150,6 +150,29 @@ class TestSweep:
         assert recs[0]["position"] == 0 and recs[0]["click_prob"] == 0.0
         assert recs[4]["position"] == 1 and recs[4]["selected"][0] == "c"
         assert recs[5]["passed"] is True and recs[5]["first_violation"] is None
+
+    def test_each_point_is_written_once_solved(self, monkeypatch, page_file):
+        # The first record reaches stdout after one slate solve, not after
+        # the whole grid, and the verdict follows the last point.
+        solves, written = [], []
+        solve = analysis.solve
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        class Stdout:
+            def write(self, text):
+                written.append((len(solves), text))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(analysis, "solve", counting)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["sweep", page_file, "--bidder", "c", "--from", "0", "--to", "12", "--steps", "5"]) == 0
+        assert [n for n, _ in written] == [1, 2, 3, 4, 5, 5]
+        assert [json.loads(text)["type"] for _, text in written] == ["sweep_point"] * 5 + ["monotonicity"]
 
     def test_unknown_bidder_exits_2(self, capsys, page_file):
         code, _, err = run(capsys, "sweep", page_file, "--bidder", "zz",
@@ -486,6 +509,16 @@ class TestSizeLimit:
         code, out, err = run(capsys, "price", str(path), "--solver", "brute")
         assert code == 3 and out == "" and "error:" in err
 
+
+    def test_sweep_brute_guard_exits_3_before_any_record(self, capsys, tmp_path):
+        doc = {"slots": 2, "bidders": [
+            {"id": f"b{i}", "bid": 1.0 + i, "ctr": 0.5, "cont": 0.5}
+            for i in range(30)
+        ]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", str(path), "--bidder", "b0", "--from", "0", "--to", "1", "--solver", "brute")
+        assert code == 3 and out == "" and "error:" in err
 
     def test_compare_brute_guard_exits_3(self, capsys, tmp_path):
         doc = {"slots": 2, "bidders": [

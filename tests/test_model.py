@@ -250,9 +250,9 @@ class TestRankingCache:
 
 
 class TestPrunedForms:
-    """``AuctionInstance._pruned`` keeps the ranking pruned to the k-skyband
-    for the two slot counts used last, without becoming part of the
-    instance's value."""
+    """``AuctionInstance._pruned`` keeps the ranking pruned to the k- and the
+    (k+1)-skyband, from one prune, for the slot count ``k`` pruned last,
+    without becoming part of the instance's value."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -276,8 +276,8 @@ class TestPrunedForms:
         compare_gsp(inst)
         solve(inst, method="fast")
         vcg_prices(inst, solver="fast")
-        assert calls == [k, k + 1]
-        assert sorted(inst._pruned) == [k, k + 1]
+        assert calls == [k]
+        assert inst._pruned[0] == k
 
     def test_arrays_are_read_only(self):
         inst = random_instance(np.random.default_rng(53), 60, 3, min_n=40)
@@ -323,20 +323,21 @@ class TestPrunedForms:
         assert len(pickle.dumps(inst)) == len(unsolved)
         assert vcg_prices(back) == (slate, schedule)
         assert back._pruned
-        for a in (*back.ranking, *(a for form in back._pruned.values() for a in form)):
+        for a in (*back.ranking, *(a for form in back._pruned[1:] for a in form)):
             assert not a.flags.writeable
         copied = copy.copy(inst)
         assert "ranking" not in copied.__dict__ and "_pruned" not in copied.__dict__
-        assert copied._pruned is not inst._pruned
+        assert copied._pruned is None
 
     def test_a_third_slot_count_evicts_the_oldest(self, monkeypatch):
         inst = random_instance(np.random.default_rng(55), 60, 1, min_n=40)
         calls = self.counted(monkeypatch)
-        for m in (1, 2, 1, 3, 1, 2):
+        for m in (1, 2, 1, 3, 4, 2, 1):
             _ranked(inst, m)
-        # 1 is used again before 3 arrives, so 3 evicts 2, and 2 then evicts 3.
-        assert calls == [1, 2, 3, 2]
-        assert list(inst._pruned) == [1, 2]
+        # 1 prunes the pair for 1 and 2; 3 and 4 lie outside it, so 3 replaces
+        # it with the pair for 3 and 4, then 2 and 1 replace it in turn.
+        assert calls == [1, 3, 2, 1]
+        assert inst._pruned[0] == 1
 
     def test_threads_sharing_an_instance(self):
         # More threads than cores, switching often, each cycling through

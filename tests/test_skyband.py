@@ -11,9 +11,10 @@ pricing skips may not change a price; dp's solve
 and pricing are held to memory bounds.  An instance keeps its ranking
 once computed; calls on a ranked instance must match the same calls each
 made on a fresh equal one, and the GSP slate read off the ranking must
-match a keyed sort of every bidder.  An instance also keeps its pruned
-forms for the two slot counts used last; solving and pricing at every
-slot count up and back down on one instance must match a fresh one.
+match a keyed sort of every bidder.  One prune finds the k- and the
+(k+1)-skyband, and an instance keeps that pair for the slot count pruned
+last; solving and pricing at every slot count up and back down on one
+instance must match a fresh one.
 """
 
 import tracemalloc
@@ -33,12 +34,11 @@ def scores(bidders):
 
 
 def beaten_counts(ecpms, conts):
-    """Quadratic reference: how many ads beat each rank strictly on both scores."""
-    adj = [e / (1.0 - q) for e, q in zip(ecpms, conts)]
-    return [
-        sum(ecpms[u] > ecpms[t] and adj[u] > adj[t] for u in range(len(ecpms)))
-        for t in range(len(ecpms))
-    ]
+    """Quadratic reference: how many ads beat each rank strictly on both
+    scores, from an all-pairs comparison (row u beats column t)."""
+    e = np.asarray(ecpms, dtype=float)
+    adj = e / (1.0 - np.asarray(conts, dtype=float))
+    return ((e[:, None] > e) & (adj[:, None] > adj)).sum(axis=0).tolist()
 
 
 def beaten_fewer_than(ecpms, conts, m, counts=None):
@@ -47,53 +47,72 @@ def beaten_fewer_than(ecpms, conts, m, counts=None):
     return [t for t, c in enumerate(counts) if c < m]
 
 
+def skybands(ecpms, conts, m):
+    """The m- and the (m+1)-skyband by the quadratic count, the pair
+    ``_skyband`` returns."""
+    counts = beaten_counts(ecpms, conts)
+    return beaten_fewer_than(ecpms, conts, m, counts), beaten_fewer_than(ecpms, conts, m + 1, counts)
+
+
 class TestSkyband:
     def test_matches_quadratic_count(self):
         rng = np.random.default_rng(40)
         for _ in range(300):
             ecpms, conts = scores(tie_grid_instance(rng).bidders)
             for m in range(1, 5):
-                assert _skyband(ecpms, conts, m) == beaten_fewer_than(ecpms, conts, m)
+                assert _skyband(ecpms, conts, m) == skybands(ecpms, conts, m)
 
     def test_first_m_canonical_ads_survive(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             ecpms, conts = scores(quantized_instance(rng, 1).bidders)
             for m in (1, 2, 3, 10):
-                assert _skyband(ecpms, conts, m)[:m] == list(range(m))
+                keep, wide = _skyband(ecpms, conts, m)
+                assert (keep, wide) == skybands(ecpms, conts, m)
+                assert keep[:m] == list(range(m)) and wide[: m + 1] == list(range(m + 1))
 
     def test_all_skyline_keeps_every_ad(self):
         # ecpm falls and adjusted ecpm rises with cont: no ad beats another.
         conts = np.linspace(0.0, 0.98, 200)
         bidders = [Bidder(i, 1.01 - q * q, 1.0, q) for i, q in enumerate(conts.tolist())]
         ecpms, conts = scores(bidders)
-        assert _skyband(ecpms, conts, 1) == list(range(200))
+        assert _skyband(ecpms, conts, 1) == skybands(ecpms, conts, 1) == (list(range(200)),) * 2
 
     def test_equal_adjusted_ecpm_never_knock_each_other_out(self):
         # Adjusted ecpm 1.0 for all four, ecpm falling down the canonical
         # order: each ad has a higher ecpm than every ad after it.
         bidders = [Bidder(i, 1.0 - q, 1.0, q) for i, q in enumerate((0.0, 0.25, 0.5, 0.75))]
         ecpms, conts = scores(bidders)
-        assert _skyband(ecpms, conts, 1) == [0, 1, 2, 3]
+        assert _skyband(ecpms, conts, 1) == skybands(ecpms, conts, 1) == ([0, 1, 2, 3],) * 2
 
     def test_exact_twins_both_survive(self):
         bidders = [Bidder(0, 4.0, 0.5, 0.5), Bidder(1, 4.0, 0.5, 0.5), Bidder(2, 1.0, 0.5, 0.25)]
         ecpms, conts = scores(bidders)
         # The last ad is beaten by both twins.
-        assert _skyband(ecpms, conts, 1) == [0, 1]
-        assert _skyband(ecpms, conts, 2) == [0, 1]
-        assert _skyband(ecpms, conts, 3) == [0, 1, 2]
+        for m, bands in ((1, ([0, 1], [0, 1])), (2, ([0, 1], [0, 1, 2])), (3, ([0, 1, 2], [0, 1, 2]))):
+            assert _skyband(ecpms, conts, m) == skybands(ecpms, conts, m) == bands
+
+    def test_one_slot_heap_of_two(self):
+        # At m = 1 the heap holds two ecpms and the 1-band floor is its
+        # larger entry.  In canonical order: (4, adj 8); twins (3, adj 6),
+        # each beaten once; a record (5, adj 5); (2, adj 4), beaten four
+        # times; (1, adj 1), beaten five times.
+        rows = [(4.0, 0.5), (3.0, 0.5), (2.0, 0.5), (1.0, 0.0), (3.0, 0.5), (5.0, 0.0)]
+        ecpms, conts = scores([Bidder(i, bid, 1.0, cont) for i, (bid, cont) in enumerate(rows)])
+        assert ecpms == [4.0, 3.0, 3.0, 5.0, 2.0, 1.0]
+        assert _skyband(ecpms, conts, 1) == skybands(ecpms, conts, 1) == ([0, 3], [0, 1, 2, 3])
+        assert _skyband(ecpms, conts, 2) == skybands(ecpms, conts, 2) == ([0, 1, 2, 3], [0, 1, 2, 3])
 
 
 def checked_skyband(rows, slots_list):
     """Scores of ads given as ``(bid, cont)`` with ctr 1, so the ecpm is the
-    bid and the adjusted ecpm ``bid / (1 - cont)``, after checking
-    ``_skyband`` against the quadratic count at each slot count; returns
-    the canonical ecpms and what ``_skyband`` keeps at one slot."""
+    bid and the adjusted ecpm ``bid / (1 - cont)``, after checking both of
+    ``_skyband``'s bands against the quadratic count at each slot count;
+    returns the canonical ecpms and what ``_skyband`` keeps at one slot."""
     ecpms, conts = scores([Bidder(i, bid, 1.0, cont) for i, (bid, cont) in enumerate(rows)])
     for m in slots_list:
-        assert _skyband(ecpms, conts, m) == beaten_fewer_than(ecpms, conts, m)
-    return ecpms, _skyband(ecpms, conts, 1)
+        assert _skyband(ecpms, conts, m) == skybands(ecpms, conts, m)
+    return ecpms, _skyband(ecpms, conts, 1)[0]
 
 
 class TestRecordsRule:
@@ -140,12 +159,13 @@ def outcome(inst, method):
 
 
 def keep_every_ad(ecpms, conts, m):
-    return list(range(len(ecpms)))
+    every = list(range(len(ecpms)))
+    return every, every
 
 
 def assert_prune_is_invisible(monkeypatch, inst, method):
     pruned = outcome(inst, method)
-    # A fresh instance, since ``inst`` keeps the forms it pruned.
+    # A fresh instance, since ``inst`` keeps the pair it pruned.
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_skyband", keep_every_ad)
         unpruned = outcome(AuctionInstance(inst.bidders, inst.slots), method)
@@ -469,8 +489,8 @@ def by_slot_count(instance, methods):
 
 
 def assert_kept_forms_are_invisible(inst, methods):
-    """Calls on one instance, which keeps a pruned form per slot count as it
-    goes, give what each call gives on a fresh equal instance."""
+    """Calls on one instance, which keeps the pair of the slot count pruned
+    last as it goes, give what each call gives on a fresh equal instance."""
     assert by_slot_count(lambda: inst, methods) == by_slot_count(
         lambda: AuctionInstance(inst.bidders, inst.slots), methods
     )
