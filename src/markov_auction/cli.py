@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import SweepReport, _sweep_points, check_monotonicity, compare_gsp
 from .model import AuctionInstance, Bidder
 from .optimizer import SizeLimitExceeded, solve
-from .pricing import vcg_prices
+from .pricing import DegenerateClickProb, vcg_prices
 
 __all__ = ["main", "load_instance", "random_instance", "SEED_ENV_VAR"]
 
@@ -211,7 +211,12 @@ def _cmd_assign(ns: argparse.Namespace, named: NamedInstance) -> None:
 
 
 def _cmd_price(ns: argparse.Namespace, named: NamedInstance) -> None:
-    slate, schedule = vcg_prices(named.instance, solver=ns.solver)
+    try:
+        slate, schedule = vcg_prices(named.instance, solver=ns.solver)
+    except DegenerateClickProb as exc:
+        if exc.bidder_id is None:
+            raise
+        raise DegenerateClickProb(f"winner {named.names[exc.bidder_id]!r} has zero click probability") from None
     _emit("assignment", slate, named, solver=ns.solver, slots=named.instance.slots)
     for winner in schedule.winners:
         _emit("price", winner, named)

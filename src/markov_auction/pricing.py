@@ -17,7 +17,17 @@ __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
 
 class DegenerateClickProb(ValueError):
-    """Raised if a winner's click probability is 0 (per-click price undefined)."""
+    """Raised if a winner's click probability is 0 (per-click price undefined).
+
+    Every ctr is positive, but the reach above a winner is a float product
+    of the conts above it and can underflow: two conts of 1e-300 above an
+    ad give it reach 0.0, and ``dp`` and ``fast`` can still place an ad
+    there.  ``bidder_id`` is the winner's id when ``vcg_prices`` raises it.
+    """
+
+    def __init__(self, message: str, bidder_id: int | None = None) -> None:
+        super().__init__(message)
+        self.bidder_id = bidder_id
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,7 @@ def vcg_prices(
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
-            cannot happen while ctr > 0 is enforced and the solvers stop
-            at an ad with zero continuation (defensive).
+            happens only when the reach above it underflows.
         SizeLimitExceeded: for ``solver="brute"`` on an instance too large
             for exhaustive search, judged before the prune.
     """
@@ -116,7 +125,7 @@ def vcg_prices(
     winners: list[WinnerPrice] = []
     for bidder_id, click, bid, row in zip(slate.order, slate.click_probs, bids[::-1], rows[::-1]):
         if click == 0.0:
-            raise DegenerateClickProb(f"winner {bidder_id} has zero click probability")
+            raise DegenerateClickProb(f"winner {bidder_id} has zero click probability", bidder_id)
         value = click * bid
         others_alone = row[m]
         payment = min(max(others_alone - (slate.efficiency - value), 0.0), value)

@@ -7,13 +7,19 @@ takes the gap of the latest rank holding the best score, and within it
 the highest rank holding the gap's best linear term.  Since ``base + x``
 never rounds down as ``x`` grows, both must pick the same ranks in the
 same order, so the tests assert ``==`` on the picks.
+
+A form of at least ``optimizer._RESCAN_MIN`` survivors keeps each gap's
+best linear term between steps and scores a gap the last insertion left
+alone from it, within a rounding bound.  ``TestCachedGapsMatchPerRankScan``
+runs every case above with that bound in force on every form, the
+smallest included.
 """
 
 import numpy as np
 import pytest
 
 from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance
-from markov_auction import AuctionInstance, Bidder
+from markov_auction import AuctionInstance, Bidder, optimizer
 from markov_auction.optimizer import _fast, _prefix_tables, _ranked
 
 
@@ -143,3 +149,50 @@ class TestChainMatchesPerRankScan:
     def test_near_twins(self, rows):
         inst = AuctionInstance(tuple(Bidder(*row) for row in rows), 2)
         assert len(chain_picks(inst, 2)) == 2
+
+
+class TestCachedGapsMatchPerRankScan(TestChainMatchesPerRankScan):
+    """Every case of the parent class, each form scored through the per-gap
+    cache, so the cached scores and their bound decide which gaps are
+    scanned again."""
+
+    @pytest.fixture(autouse=True)
+    def cache_every_form(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_RESCAN_MIN", 0)
+
+    @pytest.mark.parametrize(
+        "bids, ctrs, conts",
+        [
+            ([0.5, 0.1, 0.9, 0.6, 0.8, 0.5, 0.5, 0.9, 1.0, 0.1, 0.5, 0.3, 0.9, 0.6],
+             [0.9, 1.0, 0.5, 0.2, 0.6, 0.1, 0.4, 0.6, 0.4, 0.2, 0.3, 0.7, 0.8, 0.4],
+             [0.8, 0.4, 0.7, 0.0, 0.3, 0.9, 0.8, 0.1, 0.3, 0.7, 0.9, 0.4, 0.5, 0.9]),
+            ([28e-320, 15e-320, 6e-320, 37e-320, 5e-320, 1e-320, 3e-320, 16e-320, 26e-320, 35e-320, 28e-320, 37e-320],
+             [0.1, 0.7, 0.5, 1.0, 0.4, 1.0, 1.0, 0.7, 0.9, 0.1, 0.7, 0.1],
+             [0.4, 0.8, 0.4, 0.9, 0.1, 0.7, 0.1, 0.2, 0.5, 0.3, 0.5, 0.8]),
+        ],
+        ids=["tenth-grid", "subnormal-grid"],
+    )
+    def test_near_tie_with_a_cached_gap(self, bids, ctrs, conts):
+        # A gap below the last insertion scores, from its cache, under the
+        # best exact score that its own exact scan reaches or passes.  The
+        # relative part of the bound covers it on the 0.1 grid, and only
+        # the absolute part among subnormal scores.
+        chain_picks(columns_instance(bids, ctrs, conts, len(bids)), len(bids))
+
+    def test_extreme_magnitudes(self):
+        # Products of these underflow to subnormals and to 0, so gaps die
+        # (ce == 0) and a cached gap's ce can fall to a subnormal.
+        # The scan must pick as the reference does and warn of nothing.
+        rng = np.random.default_rng(76)
+        bids = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-9, 0.1, 1.0, 3.0, 1e9, 1e150, 1e300])
+        ctrs = np.array([5e-324, 1e-310, 1e-300, 1e-150, 1e-9, 0.1, 0.5, 1.0])
+        conts = np.array([0.0, 5e-324, 1e-300, 1e-150, 1e-9, 0.1, 0.5, 0.9, 0.999, 1.0 - 2.0**-52])
+        for _ in range(1500):
+            n = int(rng.integers(1, 13))
+            rows = [(float(rng.choice(bids)), float(rng.choice(ctrs)), float(rng.choice(conts))) for _ in range(n)]
+            # Keep the adjusted ecpm finite, as a Bidder requires.
+            rows = [(b, c, q) for b, c, q in rows if c * b / (1.0 - q) < float("inf")]
+            if rows:
+                inst = columns_instance(*zip(*rows), 1)
+                for m in range(1, len(rows) + 1):
+                    chain_picks(inst, m)

@@ -136,6 +136,21 @@ class TestPrice:
             assert 0.0 <= price["expected_payment"] <= price["value"]
             assert 0.0 <= price["per_click_price"] <= bids[price["bidder"]]
 
+    def test_zero_click_winner_names_the_file_bidder(self, capsys, tmp_path):
+        # Two conts of 1e-300 above b5 underflow its reach to 0.0, and dp
+        # still places it, so VCG cannot price it per click.  The error
+        # names the file's bidder, not its row index.
+        rows = [(5e-324, 0.1, 0.0), (1e150, 0.1, 1e-300), (1e-300, 5e-324, 0.1),
+                (5e-324, 1e-9, 0.1), (1e12, 1e-9, 1e-300), (1e-300, 1.0, 0.1)]
+        bidders = [{"id": f"b{i}", "bid": b, "ctr": c, "cont": q} for i, (b, c, q) in enumerate(rows)]
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({"slots": 4, "bidders": bidders}))
+        code, out, err = run(capsys, "assign", str(path))
+        assert code == 0 and records(out)[0]["click_probs"] == [0.1, 1e-309, 0.0]
+        code, out, err = run(capsys, "price", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: winner 'b5' has zero click probability\n"
+
 
 class TestSweep:
     def test_points_and_verdict(self, capsys, page_file):
