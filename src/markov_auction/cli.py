@@ -95,7 +95,7 @@ def _csv_number(text: str) -> float | str:
 
 def _load_json(path: str, slots_override: int | None) -> NamedInstance:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -137,7 +137,7 @@ def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
     if slots_override is None:
         raise InputError("--slots is required with --format csv (the table has no slots column)")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames
             if header is None or sorted(header) != ["bid", "cont", "ctr", "id"]:

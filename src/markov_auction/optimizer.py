@@ -8,8 +8,9 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
 * ``dp_optimal`` runs a take/skip recursion down the canonical order, one
   slot count at a time,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
-  best ad per step; one vectorised pass scores each gap of the slate once,
-  and on a large form only the gaps the last insertion moved.
+  best ad per step; one vectorised scan scores the gaps of the slate, on a
+  large form only those the last insertion moved, widened when a gap left
+  out may hold the best score.
 
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
@@ -386,10 +387,11 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     work and O(slots^2) Python in total.  From ``_RESCAN_MIN`` (4096)
     survivors each gap also keeps its best term between steps, and a step
     scans only the ranks down to the member below the last insertion, plus
-    O(i) numpy work on the cached gaps; a cached gap whose score comes
-    within a rounding bound of the best is scanned again (see ``_fast``).
-    The picks are the same either way.  The same chain, with only its
-    last slate built, is ``solve(method="fast")``.
+    O(i) numpy work on the cached gaps; when a cached gap's score comes
+    within a rounding bound of the best, the step widens the same scan
+    past it and runs it again (see ``_fast``).  The picks are the same
+    either way.  The same chain, with only its last slate built, is
+    ``solve(method="fast")``.
     """
     order, picks = _run(_BODIES["fast"], inst, slots)
     return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
@@ -402,21 +404,26 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     the instance keeps, its pruned form or, with nothing pruned, its
     ranking.
 
-    A form of fewer than ``_RESCAN_MIN`` survivors scans every gap each
-    step, as there the numpy calls per step cost more than the terms.  A
-    larger form keeps each gap's best linear term divided by the ``ce`` it
-    was scanned with (``unit``).  After an insertion into gap ``g`` the
-    step scans exactly only gaps ``0 .. g + 1``, the ranks down to the
-    member below the new one.  A gap further down keeps its ranks and its
-    slope ``eff_suffix``, and only its ``ce`` shrinks, so ``base + ce *
-    unit`` is its score up to about ten roundings of at most 2^-53
-    relative or 2^-1075 absolute each; the absolute errors of the cached
-    term are scaled by the new ``ce`` over the cached one, at most 1, and
-    dividing when the gap is scanned keeps that ratio from underflowing.
+    Each step runs one vectorised scan over gaps ``0 .. fresh - 1`` and
+    picks from its linear terms ``lin``.  A form of fewer than
+    ``_RESCAN_MIN`` survivors sets ``fresh`` to every gap, as there the
+    numpy calls per step cost more than the terms.  A larger form keeps
+    each gap's best linear term divided by the ``ce`` it was scanned with
+    (``unit``), and after an insertion into gap ``g`` sets ``fresh`` to
+    ``g + 2``: the scan covers the ranks down to the member below the new
+    one.  A gap further down keeps its ranks and its slope
+    ``eff_suffix``, and only its ``ce`` shrinks, so ``base + ce * unit``
+    is its score up to about ten roundings of at most 2^-53 relative or
+    2^-1075 absolute each; the absolute errors of the cached term are
+    scaled by the new ``ce`` over the cached one, at most 1, and dividing
+    when the gap is scanned keeps that ratio from underflowing.
     ``_RESCAN_REL`` and ``_RESCAN_ABS`` bound the error with a wide
-    margin.  A gap is scanned again only when the bound cannot put it
-    strictly below a score the step holds exactly, so the step takes the
-    latest gap holding the best exact score, as a full scan does.
+    margin.  When the bound cannot put a cached gap strictly below a score
+    the step holds exactly, the step widens ``fresh`` past the last such
+    gap and runs the scan again.  That happens at most once per step:
+    afterwards every gap still cached is strictly below the best exact
+    score, so the step takes the latest gap holding it, as a full scan
+    does, and its rank from ``lin``.
     """
     n = len(ecpms)
     picks: list[int] = []
@@ -435,85 +442,59 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     ce = np.ones(m + 1)
     cq = np.empty(m + 1)
     base = np.zeros(m + 1)
-    # For a large form: each gap's unit, the step's best linear term per
-    # gap, and the gaps 0 .. fresh - 1 to scan exactly.
+    # For a large form, each gap's unit; each scan covers gaps 0 .. fresh - 1.
     cached = n >= _RESCAN_MIN
-    unit, gap_max = np.empty((2, m + 1))
-    fresh = 1 if cached else m + 1
+    unit = np.empty(m + 1)
+    fresh = 1
     current = 0.0
     for i in range(m):
-        gaps = i + 1
+        gaps = live = i + 1
         np.multiply(ce[:gaps], eff_suffix[:gaps], out=cq[:gaps])
-        gap_base = base[:gaps]
         if ce[i] == 0.0:
-            # A gap no user reaches has ce == cq == 0, so its ranks score
-            # exactly the slate's current value.
-            gap_base = np.where(ce[:gaps] == 0.0, current, gap_base)
-        if not cached:
-            widths = edges[1 : gaps + 1] - edges[:gaps]
-            lin = ce[:gaps].repeat(widths)
-            lin *= ecpms
-            term = cq[:gaps].repeat(widths)
-            term *= conts
-            lin += term
-            lin[edges[1:gaps]] = -np.inf
-            gap_max = np.maximum.reduceat(lin, edges[:gaps])
-            score = gap_base + gap_max
-            g = gaps - 1 - int(score[::-1].argmax())
-        else:
-            stop = edges[fresh]
+            # ce never grows down the slate, so the gaps no user reaches
+            # are the last ones.  They have ce == cq == 0, so their ranks
+            # score exactly the slate's current value, gain nothing and
+            # are left out of the step; the chain stops once no other gap
+            # holds a rank.
+            live = int(np.count_nonzero(ce[:gaps]))
+            if edges[live] == live - 1:
+                break
+            fresh = min(fresh, live)
+        # Runs at most twice: a widened scan leaves every cached gap
+        # strictly below the best exact score.
+        while True:
             widths = edges[1 : fresh + 1] - edges[:fresh]
+            stop = edges[fresh]
             lin = ce[:fresh].repeat(widths)
             lin *= ecpms[:stop]
             term = cq[:fresh].repeat(widths)
             term *= conts[:stop]
             lin += term
             lin[edges[1:fresh]] = -np.inf
-            np.maximum.reduceat(lin, edges[:fresh], out=gap_max[:fresh])
-            # ce never grows down the slate, so the gaps no user reaches
-            # are the last ones.  None can beat the current value, so the
-            # cached ones score -inf, and none keeps a unit.
-            live = gaps
-            if ce[i] == 0.0:
-                live = int(np.count_nonzero(ce[:gaps]))
-                gap_max[max(fresh, live) : gaps] = -np.inf
-            top = min(fresh, live)
-            np.divide(gap_max[:top], ce[:top], out=unit[:top])
-            np.multiply(ce[fresh:live], unit[fresh:live], out=gap_max[fresh:live])
-            score = gap_base + gap_max[:gaps]
-            g = gaps - 1 - int(score[::-1].argmax())
-            cached_max = float(score[fresh:live].max()) if fresh < live else -np.inf
-            if cached_max * (1.0 + _RESCAN_REL) + _RESCAN_ABS >= score[g]:
-                # A cached gap may hold the best score.  The best exact
-                # score is at least `held`, and a cached score below `floor`
-                # is below `held` exactly, too, so only the others are
-                # scanned.
-                held = max(float(score[:fresh].max()), cached_max * (1.0 - _RESCAN_REL) - _RESCAN_ABS)
-                floor = (held - _RESCAN_ABS) * (1.0 - _RESCAN_REL)
-                rescanned = {}
-                for t in ((score[fresh:live] >= floor).nonzero()[0] + fresh).tolist():
-                    lo, hi = edges[t] + 1, edges[t + 1]
-                    if lo == hi:
-                        continue
-                    seg = ce[t] * ecpms[lo:hi]
-                    seg += cq[t] * conts[lo:hi]
-                    rescanned[t] = seg
-                    top_lin = seg.max()
-                    unit[t] = top_lin / ce[t]
-                    score[t] = gap_base[t] + top_lin
-                g = gaps - 1 - int(score[::-1].argmax())
+            gap_max = np.maximum.reduceat(lin, edges[:fresh])
+            if cached:
+                unit[:fresh] = gap_max / ce[:fresh]
+                gap_max = np.concatenate((gap_max, ce[fresh:live] * unit[fresh:live]))
+            score = base[:live] + gap_max
+            g = live - 1 - int(score[::-1].argmax())
+            if fresh == live:
+                break
+            cached_max = float(score[fresh:].max())
+            if cached_max * (1.0 + _RESCAN_REL) + _RESCAN_ABS < score[g]:
+                break
+            # A cached gap may hold the best score.  The best exact score is
+            # at least `held`, and a cached score below `floor` is below
+            # `held` exactly, too, so the scan widens past the last cached
+            # gap scoring at least `floor`.
+            held = max(float(score[:fresh].max()), cached_max * (1.0 - _RESCAN_REL) - _RESCAN_ABS)
+            floor = (held - _RESCAN_ABS) * (1.0 - _RESCAN_REL)
+            fresh += 1 + int(np.flatnonzero(score[fresh:] >= floor)[-1])
         if score[g] <= current:
             break
         # The reversed argmax is the last rank holding the gap's maximum.
         hi = int(edges[g + 1])
-        if g < fresh:
-            pos = hi - 1 - int(lin[edges[g] : hi][::-1].argmax())
-            top_lin = lin[pos]
-        else:
-            seg = rescanned[g]
-            pos = hi - 1 - int(seg[::-1].argmax())
-            top_lin = seg[pos - hi]
-        if top_lin <= cq[g]:
+        pos = hi - 1 - int(lin[edges[g] : hi][::-1].argmax())
+        if lin[pos] <= cq[g]:
             break
         picks.append(pos)
         edges[g + 2 : gaps + 2] = edges[g + 1 : gaps + 1]
@@ -533,6 +514,7 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
         np.multiply.accumulate(ce[g : gaps + 1], out=ce[g : gaps + 1])
         np.multiply(ce[g:gaps], ecpms[members], out=base[g + 1 : gaps + 1])
         np.add.accumulate(base[g : gaps + 1], out=base[g : gaps + 1])
+        fresh = gaps + 1
         if cached:
             unit[g + 2 : gaps + 1] = unit[g + 1 : gaps]
             fresh = g + 2

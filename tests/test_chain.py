@@ -10,9 +10,14 @@ same order, so the tests assert ``==`` on the picks.
 
 A form of at least ``optimizer._RESCAN_MIN`` survivors keeps each gap's
 best linear term between steps and scores a gap the last insertion left
-alone from it, within a rounding bound.  ``TestCachedGapsMatchPerRankScan``
-runs every case above with that bound in force on every form, the
-smallest included.
+alone from it, within a rounding bound.  Each step runs one scan over the
+gaps down to the last insertion; when the bound cannot put a cached gap
+strictly below the best exact score, the step widens that scan past the
+last such gap and runs it again, then picks from it.
+``TestCachedGapsMatchPerRankScan`` runs every case above with the cache
+and the bound in force on every form, the smallest included, and adds
+near ties that only the bound decides and a step that must widen past
+two cached gaps to the deeper one.
 """
 
 import numpy as np
@@ -178,6 +183,15 @@ class TestCachedGapsMatchPerRankScan(TestChainMatchesPerRankScan):
         # relative part of the bound covers it on the 0.1 grid, and only
         # the absolute part among subnormal scores.
         chain_picks(columns_instance(bids, ctrs, conts, len(bids)), len(bids))
+
+    def test_widened_scan_reaches_the_deeper_of_two_flagged_gaps(self):
+        # Four ads of ecpm 1 and cont 0.5 tie exactly.  On the fifth step
+        # the last insertion went into gap 0, so gaps 2, 3 and 4 are
+        # cached: gap 3 is empty, and gaps 2 and 4 each hold one rank and
+        # score exactly the best score, 1.90625.  The scan must widen past
+        # gap 4, and the pick lands there, in the deeper flagged gap.
+        inst = columns_instance([4, 4, 1, 1, 4, 4], [0.25, 0.25, 0.5, 0.5, 0.25, 0.25], [0.5, 0.5, 0.75, 0, 0.5, 0.5], 6)
+        assert chain_picks(inst, 6) == [4, 3, 1, 0, 5, 2]
 
     def test_extreme_magnitudes(self):
         # Products of these underflow to subnormals and to 0, so gaps die

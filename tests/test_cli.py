@@ -65,6 +65,17 @@ class TestAssign:
         _, json_out, _ = run(capsys, "assign", page_file)
         assert out == json_out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, fmt):
+        # Spreadsheet exports start with a UTF-8 byte-order mark, which a
+        # JSON parser may ignore (RFC 8259, section 8.1).
+        text = json.dumps(PAGE_DOC) if fmt == "json" else PAGE_CSV
+        plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        outs = [run(capsys, "assign", str(path), "--format", fmt, "--slots", "2") for path in (plain, marked)]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
     def test_slots_override(self, capsys, page_file):
         code, out, _ = run(capsys, "assign", page_file, "--slots", "3")
         assert code == 0
