@@ -6,9 +6,10 @@ a CSV table with header ``id,bid,ctr,cont`` (slots then come from
 ``--slots``).  String ids from the file are mapped to dense integers
 internally and mapped back on output.
 
-Only ``main`` loads the file, and only ``_emit`` writes records to stdout:
-one sort-keyed JSON line of a result's fields, with ids mapped back.
-Diagnostics go to stderr.  Exit codes: 0 success (also when the reader
+Only ``main`` loads the file, through ``load_instance``, the one code that
+opens one: UTF-8 with or without a byte-order mark, LF or CRLF line ends.
+Only ``_emit`` writes records to stdout: one sort-keyed JSON line of a
+result's fields, with ids mapped back.  Diagnostics go to stderr.  Exit codes: 0 success (also when the reader
 closes stdout early), 2 invalid input, 3 instance too large for the
 requested solver or a request (``--n``, ``--steps``) too large for memory.
 """
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -93,12 +94,10 @@ def _csv_number(text: str) -> float | str:
         return text
 
 
-def _load_json(path: str, slots_override: int | None) -> NamedInstance:
+def _json_rows(path: str, fh: TextIO) -> tuple[Iterable[tuple[str, str, Any, Any, Any]], Any]:
+    """The rows of a JSON instance file and its ``slots``, or None."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        doc = json.load(fh)
     except (json.JSONDecodeError, RecursionError) as exc:
         # json raises RecursionError on arrays or objects nested too deep.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -121,55 +120,52 @@ def _load_json(path: str, slots_override: int | None) -> NamedInstance:
                     raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")
             yield where, name, row["bid"], row["ctr"], row["cont"]
 
-    bidders, names = _bidders(path, file_rows())
-    if slots_override is not None:
-        slots = slots_override
-    else:
-        slots = doc.get("slots")
-        if slots is None:
-            raise InputError(f"{path}: key 'slots' is missing and --slots was not given")
-        if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
-            raise InputError(f"{path}: 'slots' must be an integer >= 1, got {slots!r}")
-    return NamedInstance(AuctionInstance(tuple(bidders), slots), names)
+    return file_rows(), doc.get("slots")
 
 
-def _load_csv(path: str, slots_override: int | None) -> NamedInstance:
-    if slots_override is None:
+def _csv_rows(path: str, fh: TextIO) -> tuple[Iterable[tuple[str, str, Any, Any, Any]], None]:
+    """The rows of a CSV instance file, read lazily; the table has no slots."""
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames
+    if header is None or sorted(header) != ["bid", "cont", "ctr", "id"]:
+        raise InputError(f"{path}: CSV header must be exactly id,bid,ctr,cont, got {header!r}")
+
+    def file_rows() -> Iterable[tuple[str, str, Any, Any, Any]]:
+        for line_no, row in enumerate(reader, start=2):
+            where = f"line {line_no}"
+            if row["id"] is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
+                raise InputError(f"{path}: {where} has too few columns")
+            if None in row:
+                raise InputError(f"{path}: {where} has too many columns")
+            yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
+
+    return file_rows(), None
+
+
+def load_instance(path: str, fmt: str = "json", slots_override: int | None = None) -> NamedInstance:
+    """Parse an instance file; raises InputError on any defect."""
+    if fmt not in ("json", "csv"):
+        raise InputError(f"unknown format {fmt!r}")
+    if fmt == "csv" and slots_override is None:
         raise InputError("--slots is required with --format csv (the table has no slots column)")
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            if header is None or sorted(header) != ["bid", "cont", "ctr", "id"]:
-                raise InputError(
-                    f"{path}: CSV header must be exactly id,bid,ctr,cont, got {header!r}"
-                )
-
-            def file_rows() -> Iterable[tuple[str, str, Any, Any, Any]]:
-                for line_no, row in enumerate(reader, start=2):
-                    where = f"line {line_no}"
-                    if row["id"] is None or any(row[f] is None for f in ("bid", "ctr", "cont")):
-                        raise InputError(f"{path}: {where} has too few columns")
-                    if None in row:
-                        raise InputError(f"{path}: {where} has too many columns")
-                    yield where, row["id"], *(_csv_number(row[field]) for field in ("bid", "ctr", "cont"))
-
-            bidders, names = _bidders(path, file_rows())
+        # csv reads line ends itself; json needs universal newlines, so that
+        # a CRLF file's error offsets count each line end as one character.
+        with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as fh:
+            rows, slots = (_csv_rows if fmt == "csv" else _json_rows)(path, fh)
+            bidders, names = _bidders(path, rows)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         # An over-long field, or a NUL byte before Python 3.11.
         raise InputError(f"{path}: {exc}") from exc
-    return NamedInstance(AuctionInstance(tuple(bidders), slots_override), names)
-
-
-def load_instance(path: str, fmt: str = "json", slots_override: int | None = None) -> NamedInstance:
-    """Parse an instance file; raises InputError on any defect."""
-    if fmt == "json":
-        return _load_json(path, slots_override)
-    if fmt == "csv":
-        return _load_csv(path, slots_override)
-    raise InputError(f"unknown format {fmt!r}")
+    if slots_override is not None:
+        slots = slots_override
+    elif slots is None:
+        raise InputError(f"{path}: key 'slots' is missing and --slots was not given")
+    elif isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
+        raise InputError(f"{path}: 'slots' must be an integer >= 1, got {slots!r}")
+    return NamedInstance(AuctionInstance(tuple(bidders), slots), names)
 
 
 def random_instance(n: int, slots: int, seed: int) -> AuctionInstance:

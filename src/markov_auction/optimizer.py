@@ -561,14 +561,15 @@ _BODIES: dict[str, Callable[[np.ndarray, np.ndarray, int], Sequence[int]]] = {"b
 
 def _run(body: Callable, inst: AuctionInstance, slots: int | None) -> tuple[np.ndarray, Sequence[int]]:
     """The ranked form's ``order`` and the ranks a solver body picks from it
-    for the effective slot count, after exhaustive search's size check."""
+    for the effective slot count, after the slot count's check and then
+    exhaustive search's size check."""
+    m = effective_slots(inst, slots)
     requested = inst.slots if slots is None else slots
     if body is _brute and (inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS):
         raise SizeLimitExceeded(
             f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
             f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
         )
-    m = effective_slots(inst, slots)
     order, ecpms, conts = _ranked(inst, m)
     return order, body(ecpms, conts, m)
 

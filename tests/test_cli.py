@@ -76,6 +76,16 @@ class TestAssign:
         outs = [run(capsys, "assign", str(path), "--format", fmt, "--slots", "2") for path in (plain, marked)]
         assert outs[0][0] == 0 and outs[1] == outs[0]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_crlf_line_ends_read_as_lf(self, capsys, tmp_path, fmt):
+        # Files saved on Windows end each line with CRLF.
+        text = json.dumps(PAGE_DOC, indent=1) if fmt == "json" else PAGE_CSV
+        lf, crlf = tmp_path / f"lf.{fmt}", tmp_path / f"crlf.{fmt}"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        outs = [run(capsys, "assign", str(path), "--format", fmt, "--slots", "2") for path in (lf, crlf)]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
     def test_slots_override(self, capsys, page_file):
         code, out, _ = run(capsys, "assign", page_file, "--slots", "3")
         assert code == 0
@@ -458,6 +468,14 @@ BAD_FILES = [
     ("json-slots-zero", "json", b'{"slots": 0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 0"),
     ("json-slots-bool", "json", b'{"slots": true, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got True"),
     ("json-slots-float", "json", b'{"slots": 2.0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 2.0"),
+    (
+        # Read with universal newlines, each CRLF counts as one character.
+        "json-crlf-syntax-error",
+        "json",
+        b'{"slots": 2,\r\n "bidders": [\r\n{"id": "a", "bid": 2.0, "ctr": 0.5, "cont": 0.75},\r\n'
+        b' {"id": "b" "bid": 4.0, "ctr": 0.5, "cont": 0.2}\r\n]}\r\n',
+        "{path} is not valid JSON: Expecting ',' delimiter: line 4 column 13 (char 90)",
+    ),
     ("json-not-utf8", "json", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
     (
         "json-nested-too-deep",

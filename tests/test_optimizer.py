@@ -13,12 +13,14 @@ from markov_auction import (
     brute_force_optimal,
     build,
     canonical_order,
+    check_dominance,
     dp_optimal,
     effective_slots,
     evaluate,
     fast_optimal,
     marginal_best_insert,
     solve,
+    vcg_prices,
 )
 
 ALL_SOLVERS = ("brute", "dp", "fast")
@@ -74,6 +76,22 @@ class TestGuards:
         assert effective_slots(page, 7) == 3
         with pytest.raises(ValueError, match="slots"):
             effective_slots(page, 0)
+
+    @pytest.mark.parametrize("slots", ["3", [1]], ids=["string", "list"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            *(lambda inst, k, method=method: solve(inst, k, method) for method in ALL_SOLVERS),
+            lambda inst, k: vcg_prices(inst, k, solver="brute"),
+            check_dominance,
+        ],
+        ids=[*ALL_SOLVERS, "vcg_prices-brute", "check_dominance"],
+    )
+    def test_non_integer_slots_are_rejected_before_the_brute_cap(self, page, call, slots):
+        # Exhaustive search's cap compares the slot count with an int, so
+        # the count is validated first, as for the other solvers.
+        with pytest.raises(ValueError, match=r"slots must be an integer >= 1, got "):
+            call(page, slots)
 
     def test_unknown_solver_name(self, page):
         with pytest.raises(ValueError, match="unknown solver"):
