@@ -161,9 +161,9 @@ def load_instance(path: str, fmt: str = "json", slots_override: int | None = Non
         raise InputError(f"{path}: {exc}") from exc
     if slots_override is not None:
         slots = slots_override
-    elif slots is None:
+    if slots is None:
         raise InputError(f"{path}: key 'slots' is missing and --slots was not given")
-    elif isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
+    if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
         raise InputError(f"{path}: 'slots' must be an integer >= 1, got {slots!r}")
     return NamedInstance(AuctionInstance(tuple(bidders), slots), names)
 

@@ -9,8 +9,8 @@ value in canonical (adjusted-ecpm) order, search happens over sets:
   slot count at a time,
 * ``fast_optimal`` grows a chain of nested solutions, adding the single
   best ad per step; one vectorised scan scores the gaps of the slate, on a
-  large form only those the last insertion moved, widened when a gap left
-  out may hold the best score.
+  large form only those the last insertion moved unless a gap left out may
+  hold the best score (``_fast``'s rescan rule).
 
 ``marginal_best_insert`` takes one such step with hull-index range queries
 instead, and the tests grow the chain both ways.
@@ -324,53 +324,15 @@ def _prefix_tables(
     return cont_prefix, eff_prefix, eff_suffix
 
 
-def _best_insert(
-    chosen: Sequence[int],
-    ecpms: Sequence[float],
-    conts: Sequence[float],
-    index: HullIndex,
-) -> tuple[float, int, float]:
-    """Best single position to add to ``chosen`` (sorted ranks).
-
-    Inserting candidate ``x`` into the gap after the first ``g`` members
-    yields value  eff_prefix[g] + cont_prefix[g] * (e_x + q_x * eff_suffix[g]),
-    linear in (q_x, e_x) — one hull query per gap.  Returns
-    ``(new_value, position, current_value)``; ties between gaps go to the
-    earliest gap.  No user reaches a gap whose prefix continuation mass is
-    exactly 0, so an ad placed there leaves the slate at its current value;
-    the gap is scored that way without a query and never beats keeping the
-    slate as it is.
-    """
-    n = index.n
-    i = len(chosen)
-    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, ecpms, conts)
-    best_val = -float("inf")
-    best_pos = -1
-    for g in range(i + 1):
-        lo = chosen[g - 1] + 1 if g > 0 else 0
-        hi = chosen[g] - 1 if g < i else n - 1
-        if lo > hi:
-            continue
-        ce = cont_prefix[g]
-        if ce == 0.0:
-            val, pos = eff_suffix[0], lo
-        else:
-            pos, lin = index.query_max(LinearQuery(ce, ce * eff_suffix[g], lo, hi))
-            val = eff_prefix[g] + lin
-        if val > best_val:
-            best_val, best_pos = val, pos
-    return best_val, best_pos, eff_suffix[0]
-
-
 def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     """Chain of nested optimal slates, grown one best insertion at a time.
 
     Every optimal slate for ``i`` slots extends to one for ``i + 1`` slots,
     so the chain member for step ``i + 1`` is the best single insertion
     into the current slate.  An ad inserted into gap ``g`` is worth
-    ``base[g] + (ce[g] * e + cq[g] * q)`` (as in ``_best_insert``), so one
-    vectorised pass per step takes each gap's best linear term over its
-    unchosen survivors; rounding ``base + x`` never decreases as ``x``
+    ``base[g] + (ce[g] * e + cq[g] * q)`` (as in ``marginal_best_insert``),
+    so one vectorised pass per step takes each gap's best linear term over
+    its unchosen survivors; rounding ``base + x`` never decreases as ``x``
     grows, so adding ``base[g]`` gives the gap's best score.  The step
     follows the module's tie rule: the latest gap holding the best value,
     then the highest rank of that gap holding its best linear term (the
@@ -388,10 +350,9 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     survivors each gap also keeps its best term between steps, and a step
     scans only the ranks down to the member below the last insertion, plus
     O(i) numpy work on the cached gaps; when a cached gap's score comes
-    within a rounding bound of the best, the step widens the same scan
-    past it and runs it again (see ``_fast``).  The picks are the same
-    either way.  The same chain, with only its last slate built, is
-    ``solve(method="fast")``.
+    within a rounding bound of the best, the step scans every gap (the
+    rescan rule in ``_fast``).  The picks are the same either way.  The
+    same chain, with only its last slate built, is ``solve(method="fast")``.
     """
     order, picks = _run(_BODIES["fast"], inst, slots)
     return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
@@ -418,12 +379,11 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
     scaled by the new ``ce`` over the cached one, at most 1, and dividing
     when the gap is scanned keeps that ratio from underflowing.
     ``_RESCAN_REL`` and ``_RESCAN_ABS`` bound the error with a wide
-    margin.  When the bound cannot put a cached gap strictly below a score
-    the step holds exactly, the step widens ``fresh`` past the last such
-    gap and runs the scan again.  That happens at most once per step:
-    afterwards every gap still cached is strictly below the best exact
-    score, so the step takes the latest gap holding it, as a full scan
-    does, and its rank from ``lin``.
+    margin.  The rescan rule: a step whose bound cannot put every cached
+    gap strictly below the best exact score scans every gap, as a small
+    form does, and picks from that scan.  Otherwise every cached gap is
+    strictly below the best exact score, so the step takes the latest gap
+    holding it, as a full scan does, and its rank from ``lin``.
     """
     n = len(ecpms)
     picks: list[int] = []
@@ -460,8 +420,7 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
             if edges[live] == live - 1:
                 break
             fresh = min(fresh, live)
-        # Runs at most twice: a widened scan leaves every cached gap
-        # strictly below the best exact score.
+        # Runs at most twice: the second scan covers every gap.
         while True:
             widths = edges[1 : fresh + 1] - edges[:fresh]
             stop = edges[fresh]
@@ -477,18 +436,9 @@ def _fast(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
                 gap_max = np.concatenate((gap_max, ce[fresh:live] * unit[fresh:live]))
             score = base[:live] + gap_max
             g = live - 1 - int(score[::-1].argmax())
-            if fresh == live:
+            if fresh == live or float(score[fresh:].max()) * (1.0 + _RESCAN_REL) + _RESCAN_ABS < score[g]:
                 break
-            cached_max = float(score[fresh:].max())
-            if cached_max * (1.0 + _RESCAN_REL) + _RESCAN_ABS < score[g]:
-                break
-            # A cached gap may hold the best score.  The best exact score is
-            # at least `held`, and a cached score below `floor` is below
-            # `held` exactly, too, so the scan widens past the last cached
-            # gap scoring at least `floor`.
-            held = max(float(score[:fresh].max()), cached_max * (1.0 - _RESCAN_REL) - _RESCAN_ABS)
-            floor = (held - _RESCAN_ABS) * (1.0 - _RESCAN_REL)
-            fresh += 1 + int(np.flatnonzero(score[fresh:] >= floor)[-1])
+            fresh = live
         if score[g] <= current:
             break
         # The reversed argmax is the last rank holding the gap's maximum.
@@ -529,9 +479,16 @@ def marginal_best_insert(
     """The single ad whose insertion into ``slate`` gains the most value.
 
     The slate's members must come from ``inst``; candidates are everyone
-    else.  Returns ``(bidder_id, new_efficiency)``.  Ties between gaps go
-    to the earliest gap; within a gap the hull index returns a maximiser,
-    usually the earliest canonical rank (see ``HullIndex.query_max``).
+    else.  Returns ``(bidder_id, new_efficiency)``.  Inserting candidate
+    ``x`` into the gap after the first ``g`` members yields value
+    eff_prefix[g] + cont_prefix[g] * (e_x + q_x * eff_suffix[g]), linear in
+    (q_x, e_x), so each gap takes one hull query.  Ties between gaps go to
+    the earliest gap; within a gap the hull index returns a maximiser,
+    usually the earliest canonical rank (see ``HullIndex.query_max``).  No
+    user reaches a gap whose prefix continuation mass is exactly 0, so an
+    ad placed there leaves the slate at its current value; the gap is
+    scored that way without a query and never beats keeping the slate as
+    it is.
 
     Raises:
         NoCandidate: if the slate already contains every bidder.
@@ -543,12 +500,24 @@ def marginal_best_insert(
     chosen = sorted(rank_of[bid_id] for bid_id in slate.order)
     if len(chosen) >= inst.n:
         raise NoCandidate("every bidder is already in the slate")
-    ecpms = [b.ecpm for b in ranked]
-    conts = [b.cont for b in ranked]
-    _, pos, _ = _best_insert(chosen, ecpms, conts, index)
-    insort(chosen, pos)
+    cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, [b.ecpm for b in ranked], [b.cont for b in ranked])
+    # Gap g holds the ranks strictly between bounds[g] and bounds[g + 1].
+    bounds = [-1, *chosen, index.n]
+    best_val, best_pos = -math.inf, -1
+    for g, ce in enumerate(cont_prefix):
+        lo, hi = bounds[g] + 1, bounds[g + 1] - 1
+        if lo > hi:
+            continue
+        if ce == 0.0:
+            val, pos = eff_suffix[0], lo
+        else:
+            pos, lin = index.query_max(LinearQuery(ce, ce * eff_suffix[g], lo, hi))
+            val = eff_prefix[g] + lin
+        if val > best_val:
+            best_val, best_pos = val, pos
+    insort(chosen, best_pos)
     eff, _ = evaluate([ranked[p] for p in chosen])
-    return ranked[pos].id, eff
+    return ranked[best_pos].id, eff
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ same order, so the tests assert ``==`` on the picks.
 A form of at least ``optimizer._RESCAN_MIN`` survivors keeps each gap's
 best linear term between steps and scores a gap the last insertion left
 alone from it, within a rounding bound.  Each step runs one scan over the
-gaps down to the last insertion; when the bound cannot put a cached gap
-strictly below the best exact score, the step widens that scan past the
-last such gap and runs it again, then picks from it.
+gaps down to the last insertion, and scans every gap when the bound flags
+a cached one (the rescan rule in ``_fast``'s docstring).
+``test_flagged_steps_under_the_shipped_constant`` runs forms that large.
 ``TestCachedGapsMatchPerRankScan`` runs every case above with the cache
 and the bound in force on every form, the smallest included, and adds
-near ties that only the bound decides and a step that must widen past
-two cached gaps to the deeper one.
+near ties that only the bound decides and a step that two flagged cached
+gaps send to the deeper one.
 """
 
 import numpy as np
@@ -156,6 +156,22 @@ class TestChainMatchesPerRankScan:
         assert len(chain_picks(inst, 2)) == 2
 
 
+@pytest.mark.parametrize("seed", [77, 78, 79])
+def test_flagged_steps_under_the_shipped_constant(seed):
+    # Random forms of 4,096 to 5,000 ads keep each gap's best term under
+    # the shipped ``_RESCAN_MIN``, and about a hundred steps of each find a
+    # cached gap within the rounding bound of the best score, so they scan
+    # every gap.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(4096, 5001)), int(rng.integers(400, 1001))
+    ecpms = np.exp(rng.uniform(np.log(0.01), np.log(10.0), n)) * (1.0 - rng.random(n))
+    conts = rng.uniform(0.0, 0.99, n)
+    order = np.argsort(-ecpms / (1.0 - conts), kind="stable")
+    ecpms, conts = ecpms[order], conts[order]
+    assert n >= optimizer._RESCAN_MIN
+    assert _fast(ecpms, conts, m) == per_rank_chain(ecpms, conts, m)
+
+
 class TestCachedGapsMatchPerRankScan(TestChainMatchesPerRankScan):
     """Every case of the parent class, each form scored through the per-gap
     cache, so the cached scores and their bound decide which gaps are
@@ -174,22 +190,29 @@ class TestCachedGapsMatchPerRankScan(TestChainMatchesPerRankScan):
             ([28e-320, 15e-320, 6e-320, 37e-320, 5e-320, 1e-320, 3e-320, 16e-320, 26e-320, 35e-320, 28e-320, 37e-320],
              [0.1, 0.7, 0.5, 1.0, 0.4, 1.0, 1.0, 0.7, 0.9, 0.1, 0.7, 0.1],
              [0.4, 0.8, 0.4, 0.9, 0.1, 0.7, 0.1, 0.2, 0.5, 0.3, 0.5, 0.8]),
+            ([0.3405, 1.0, 0.5, 0.5, 1.0, 0.9, 1.0],
+             [1.0, 0.4, 0.2, 0.1, 0.3, 0.6, 0.5],
+             [0.875, 0.6, 0.7, 0.5, 0.8, 0.7, 0.8]),
         ],
-        ids=["tenth-grid", "subnormal-grid"],
+        ids=["tenth-grid", "subnormal-grid", "ulp-under-a-tie"],
     )
     def test_near_tie_with_a_cached_gap(self, bids, ctrs, conts):
-        # A gap below the last insertion scores, from its cache, under the
-        # best exact score that its own exact scan reaches or passes.  The
-        # relative part of the bound covers it on the 0.1 grid, and only
-        # the absolute part among subnormal scores.
+        # A gap below the last insertion holds the best exact score, and
+        # its score from the cache is off by a rounding error, so only the
+        # bound sends the step to scan every gap.  Among subnormal scores
+        # only the absolute part of the bound covers the error.  In the
+        # third case, on the third step, cached gap 2 ties rank 0's score
+        # exactly but reads one ulp under it, which only the relative part
+        # covers; the tie goes to gap 2, the later gap.
         chain_picks(columns_instance(bids, ctrs, conts, len(bids)), len(bids))
 
     def test_widened_scan_reaches_the_deeper_of_two_flagged_gaps(self):
         # Four ads of ecpm 1 and cont 0.5 tie exactly.  On the fifth step
         # the last insertion went into gap 0, so gaps 2, 3 and 4 are
         # cached: gap 3 is empty, and gaps 2 and 4 each hold one rank and
-        # score exactly the best score, 1.90625.  The scan must widen past
-        # gap 4, and the pick lands there, in the deeper flagged gap.
+        # score exactly the best score, 1.90625.  The bound flags them, so
+        # the step scans every gap, and the pick lands in gap 4, the deeper
+        # flagged gap.
         inst = columns_instance([4, 4, 1, 1, 4, 4], [0.25, 0.25, 0.5, 0.5, 0.25, 0.25], [0.5, 0.5, 0.75, 0, 0.5, 0.5], 6)
         assert chain_picks(inst, 6) == [4, 3, 1, 0, 5, 2]
 

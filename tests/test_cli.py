@@ -530,6 +530,13 @@ class TestBadFileTable:
         with pytest.raises(cli.InputError, match="unknown format 'xml'"):
             load_instance(page_file, fmt="xml")
 
+    @pytest.mark.parametrize("override", [0, True, "3", 2.0])
+    def test_bad_slot_override(self, page_file, override):
+        # The override meets the check a file's slots meet; the CLI's
+        # --slots type rejects these values before the loader sees them.
+        with pytest.raises(cli.InputError, match=r"'slots' must be an integer >= 1, got "):
+            load_instance(page_file, "json", override)
+
 
 class TestSizeLimit:
     def test_brute_guard_exits_3(self, capsys, tmp_path):
