@@ -67,7 +67,12 @@ class MonotonicityVerdict:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Optimizer value versus the ecpm-ordered (GSP-style) slate."""
+    """Optimizer value versus the ecpm-ordered (GSP-style) slate.
+
+    ``slots`` is the filled count ``min(k, n)``, not the instance's slot
+    count ``k``: ``compare`` prints 0 for a file with no bidders, where
+    ``assign`` prints the file's slot count.
+    """
 
     slots: int
     gsp_order: tuple[int, ...]

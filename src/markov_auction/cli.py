@@ -3,8 +3,9 @@
 Instance files are JSON objects — ``{"slots": 2, "bidders": [{"id": "a",
 "bid": 2.0, "ctr": 0.5, "cont": 0.75}, ...]}`` — or, with ``--format csv``,
 a CSV table with header ``id,bid,ctr,cont`` (slots then come from
-``--slots``).  String ids from the file are mapped to dense integers
-internally and mapped back on output.
+``--slots``).  String ids from the file, or a JSON integer id read as
+its decimal text, are mapped to dense integers internally and mapped
+back on output.
 
 Only ``main`` loads the file, through ``load_instance``, the one code that
 opens one: UTF-8 with or without a byte-order mark, LF or CRLF line ends.
@@ -114,7 +115,10 @@ def _json_rows(path: str, fh: TextIO) -> tuple[Iterable[tuple[str, str, Any, Any
                 raise InputError(f"{path}: bidder {where} must be an object, got {row!r}")
             if "id" not in row:
                 raise InputError(f"{path}: bidder {where} is missing field 'id'")
-            name = str(row["id"])
+            name = row["id"]
+            if isinstance(name, bool) or not isinstance(name, (str, int)):
+                raise InputError(f"{path}: bidder {where}: 'id' must be a string or an integer, got {name!r}")
+            name = str(name)
             for field in ("bid", "ctr", "cont"):
                 if field not in row:
                     raise InputError(f"{path}: bidder {name!r} ({where}) is missing field {field!r}")

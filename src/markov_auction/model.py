@@ -205,12 +205,11 @@ class AuctionInstance:
 
     def with_bid(self, bidder_id: int, bid: float) -> "AuctionInstance":
         """A copy of the instance with one bidder's bid replaced."""
-        replaced = tuple(
-            Bidder(b.id, bid, b.ctr, b.cont) if b.id == bidder_id else b for b in self.bidders
-        )
-        if all(b.id != bidder_id for b in self.bidders):
-            raise KeyError(bidder_id)
-        return AuctionInstance(replaced, self.slots)
+        for j, b in enumerate(self.bidders):
+            if b.id == bidder_id:
+                bidders = (*self.bidders[:j], Bidder(b.id, bid, b.ctr, b.cont), *self.bidders[j + 1 :])
+                return AuctionInstance(bidders, self.slots)
+        raise KeyError(bidder_id)
 
 
 @dataclass(frozen=True)

@@ -493,13 +493,13 @@ def marginal_best_insert(
     Raises:
         NoCandidate: if the slate already contains every bidder.
     """
+    if len(slate.order) >= inst.n:
+        raise NoCandidate("every bidder is already in the slate")
     ranked = canonical_order(inst.bidders)
     if index is None:
         index = build((b.cont, b.ecpm) for b in ranked)
     rank_of = {b.id: t for t, b in enumerate(ranked)}
     chosen = sorted(rank_of[bid_id] for bid_id in slate.order)
-    if len(chosen) >= inst.n:
-        raise NoCandidate("every bidder is already in the slate")
     cont_prefix, eff_prefix, eff_suffix = _prefix_tables(chosen, [b.ecpm for b in ranked], [b.cont for b in ranked])
     # Gap g holds the ranks strictly between bounds[g] and bounds[g + 1].
     bounds = [-1, *chosen, index.n]

@@ -57,10 +57,8 @@ class PriceSchedule:
         return {w.bidder_id: w for w in self.winners}
 
     def payment(self, bidder_id: int) -> float:
-        for w in self.winners:
-            if w.bidder_id == bidder_id:
-                return w.expected_payment
-        return 0.0
+        winner = self.by_bidder.get(bidder_id)
+        return 0.0 if winner is None else winner.expected_payment
 
 
 def vcg_prices(
@@ -80,14 +78,12 @@ def vcg_prices(
     both ecpm and adjusted ecpm is still beaten ``slots`` times without
     any one winner.  Removing the winner at rank ``p`` leaves the take/skip
     value rows under ``p`` as they are, so one walk up the ranks prices
-    every winner: at a winner's rank it copies the row of every ad folded
-    so far, and folds each later rank into that copy too.  At rank ``i``
-    it computes only the cells the top value reads, those with at least
-    ``slots - i`` open slots.  The top value is the largest Horner sum over
-    the slates without the winner, bit-equal to an exhaustive re-solve's.
-    Rounding can put the difference an ulp outside VCG's range, so the
-    payment is clamped to ``[0, v_i]`` and the per-click price to at most
-    the bid.
+    every winner.  At rank ``i`` it computes only the cells the top value
+    reads, those with at least ``slots - i`` open slots.  The top value is
+    the largest Horner sum over the slates without the winner, bit-equal
+    to an exhaustive re-solve's.  Rounding can put the difference an ulp
+    outside VCG's range, so the payment is clamped to ``[0, v_i]`` and the
+    per-click price to at most the bid.
 
     Raises:
         DegenerateClickProb: if a winner's click probability is 0, which
@@ -102,18 +98,15 @@ def vcg_prices(
     order, ecpms, conts = _ranked(inst, m + 1)
     m = min(m, len(order) - 1)  # the slots of each re-solve
     bidders, e, q = inst.bidders, ecpms.tolist(), conts.tolist()
-    # rows[0] holds every ad folded so far while a winner lies ahead; each
-    # later row, one per winner passed, deepest first, every ad but that one.
-    rows = [[0.0] * (m + 1)]
-    ahead, bids = list(slate.order), []
+    # rows[0] holds every ad folded so far.  At a winner's rank the walk
+    # copies it before the fold, so each later row, one per winner passed,
+    # deepest first, holds every ad folded so far but that winner.
+    rows, won, bids = [[0.0] * (m + 1)], set(slate.order), []
     for i, at in zip(range(len(e) - 1, -1, -1), reversed(order.tolist())):
         held = None
-        if ahead and bidders[at].id == ahead[-1]:
-            ahead.pop()
+        if bidders[at].id in won:
             bids.append(bidders[at].bid)
             held = rows[0].copy()
-            if not ahead:
-                del rows[0]
         e_i, q_i, cells = e[i], q[i], range(m, max(m - i, 1) - 1, -1)
         for row in rows:
             for r in cells:
@@ -123,7 +116,7 @@ def vcg_prices(
         if held is not None:
             rows.append(held)
     winners: list[WinnerPrice] = []
-    for bidder_id, click, bid, row in zip(slate.order, slate.click_probs, bids[::-1], rows[::-1]):
+    for bidder_id, click, bid, row in zip(slate.order, slate.click_probs, bids[::-1], rows[:0:-1]):
         if click == 0.0:
             raise DegenerateClickProb(f"winner {bidder_id} has zero click probability", bidder_id)
         value = click * bid

@@ -86,6 +86,15 @@ class TestAssign:
         outs = [run(capsys, "assign", str(path), "--format", fmt, "--slots", "2") for path in (lf, crlf)]
         assert outs[0][0] == 0 and outs[1] == outs[0]
 
+    def test_integer_ids_print_as_decimal_text(self, capsys, tmp_path):
+        doc = {"slots": 3, "bidders": [{**row, "id": i} for i, row in zip((10, 2, -3), PAGE_DOC["bidders"])]}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "assign", str(path))
+        assert (code, err) == (0, "")
+        (rec,) = records(out)
+        assert rec["order"] == ["-3", "10", "2"]
+
     def test_slots_override(self, capsys, page_file):
         code, out, _ = run(capsys, "assign", page_file, "--slots", "3")
         assert code == 0
@@ -437,15 +446,14 @@ class TestBadFieldTable:
             bad = {**good, "id": "bad", **json_fields}
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({"slots": 3, "bidders": [good, bad]}))
-            where, extra, commands = "(entry 1)", (), COMMANDS
+            where, extra = "(entry 1)", ()
         else:
             bad = {**{k: str(v) for k, v in good.items()}, "id": "bad", **csv_fields}
             rows = [",".join(str(r[k]) for k in ("id", "bid", "ctr", "cont")) for r in (good, bad)]
             path = tmp_path / "bad.csv"
             path.write_text("id,bid,ctr,cont\n" + "\n".join(rows) + "\n")
-            # sweep takes no --slots, so it cannot read a CSV table.
-            where, extra, commands = "(line 3)", ("--format", "csv", "--slots", "3"), COMMANDS[:3]
-        for command, *rest in commands:
+            where, extra = "(line 3)", ("--format", "csv", "--slots", "3")
+        for command, *rest in COMMANDS:
             code, out, err = run(capsys, command, str(path), *extra, *rest)
             assert (code, out) == (2, ""), (command, err)
             assert err.count("\n") == 1 and err.startswith("error: ")
@@ -464,6 +472,30 @@ BAD_FILES = [
         "json",
         b'{"slots": 1, "bidders": [{"bid": 1, "ctr": 0.5, "cont": 0}]}',
         "{path}: bidder entry 0 is missing field 'id'",
+    ),
+    (
+        "json-id-null",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": null, "bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path}: bidder entry 0: 'id' must be a string or an integer, got None",
+    ),
+    (
+        "json-id-bool",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": true, "bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path}: bidder entry 0: 'id' must be a string or an integer, got True",
+    ),
+    (
+        "json-id-float",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": 1.5, "bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path}: bidder entry 0: 'id' must be a string or an integer, got 1.5",
+    ),
+    (
+        "json-id-list",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": [1], "bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path}: bidder entry 0: 'id' must be a string or an integer, got [1]",
     ),
     ("json-slots-zero", "json", b'{"slots": 0, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got 0"),
     ("json-slots-bool", "json", b'{"slots": true, "bidders": []}', "{path}: 'slots' must be an integer >= 1, got True"),

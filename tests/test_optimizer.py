@@ -22,6 +22,7 @@ from markov_auction import (
     solve,
     vcg_prices,
 )
+from markov_auction import optimizer
 
 ALL_SOLVERS = ("brute", "dp", "fast")
 
@@ -326,6 +327,18 @@ class TestMarginalBestInsert:
         slate = solve(page, 3, "dp")
         with pytest.raises(NoCandidate):
             marginal_best_insert(page, slate)
+
+    def test_empty_instance_has_no_candidate(self):
+        with pytest.raises(NoCandidate):
+            marginal_best_insert(AuctionInstance((), 2), Assignment((), 0.0, ()))
+
+    def test_full_slate_builds_no_index(self, page, monkeypatch):
+        def fail(points):
+            raise AssertionError("built a hull index for a full slate")
+
+        monkeypatch.setattr(optimizer, "build", fail)
+        with pytest.raises(NoCandidate):
+            marginal_best_insert(page, solve(page, 3, "dp"))
 
     def test_matches_exhaustive_single_insertion(self, make_random_instance):
         from markov_auction import canonical_order, evaluate
