@@ -97,10 +97,14 @@ def _csv_number(text: str) -> float | str:
 
 def _json_rows(path: str, fh: TextIO) -> tuple[Iterable[tuple[str, str, Any, Any, Any]], Any]:
     """The rows of a JSON instance file and its ``slots``, or None."""
+    # Read before the try: UnicodeDecodeError is a ValueError, and the
+    # caller reports it as a read error.
+    text = fh.read()
     try:
-        doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # json raises RecursionError on arrays or objects nested too deep.
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep,
+        # and a plain ValueError on an integer over Python's digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")

@@ -290,14 +290,13 @@ def canonical_ranks(bidders: Sequence[Bidder]) -> tuple[np.ndarray, np.ndarray, 
     adj = ecpm / (1.0 - cont)
     order = np.argsort(-adj)
     ranked_adj = adj[order]
+    # Ties at t and t + 1 join ranks t .. t + 1; consecutive ties form one run.
     tied = np.flatnonzero(ranked_adj[1:] == ranked_adj[:-1])
-    if tied.size:
-        # Ties at t and t + 1 join ranks t .. t + 1; consecutive ties form one run.
-        breaks = np.flatnonzero(np.diff(tied) != 1)
-        starts = np.concatenate((tied[:1], tied[breaks + 1]))
-        ends = np.concatenate((tied[breaks], tied[-1:])) + 2
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: bidders[i].id)
+    breaks = np.flatnonzero(np.diff(tied) != 1)
+    starts = np.concatenate((tied[:1], tied[breaks + 1]))
+    ends = np.concatenate((tied[breaks], tied[-1:])) + 2
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: bidders[i].id)
     return order, ecpm[order], cont[order]
 
 

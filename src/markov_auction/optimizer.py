@@ -178,7 +178,7 @@ def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> tuple[li
 
 def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranked form of an instance for ``m`` slots: its kept canonical
-    ranking, pruned to the m-skyband unless every ad fits in the slots.
+    ranking, pruned to the m-skyband.
 
     The survivors depend only on the instance and ``m``.  One ``_skyband``
     pass at ``k`` gives the k- and the (k+1)-skyband, the forms a solve and
@@ -188,8 +188,6 @@ def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.n
     pair.  The arrays are read-only, and with nothing pruned they are the
     ranking's own."""
     ranking = inst.ranking
-    if len(ranking[0]) <= m:
-        return ranking
     kept = inst._pruned
     if kept is None or not 0 <= m - kept[0] <= 1:
         kept = (m,)

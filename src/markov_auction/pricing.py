@@ -96,7 +96,6 @@ def vcg_prices(
         return slate, PriceSchedule(())
     m = effective_slots(inst, slots)
     order, ecpms, conts = _ranked(inst, m + 1)
-    m = min(m, len(order) - 1)  # the slots of each re-solve
     bidders, e, q = inst.bidders, ecpms.tolist(), conts.tolist()
     # rows[0] holds every ad folded so far.  At a winner's rank the walk
     # copies it before the fold, so each later row, one per winner passed,

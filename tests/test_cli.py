@@ -515,6 +515,19 @@ BAD_FILES = [
         b'{"slots": 1, "bidders": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         "{path} is not valid JSON: maximum recursion depth exceeded",
     ),
+    (
+        # One digit over Python's limit for converting a string to an int.
+        "json-id-over-digit-limit",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": 1' + b"0" * sys.get_int_max_str_digits() + b', "bid": 1, "ctr": 0.5, "cont": 0}]}',
+        "{path} is not valid JSON: Exceeds the limit",
+    ),
+    (
+        "json-bid-over-digit-limit",
+        "json",
+        b'{"slots": 1, "bidders": [{"id": "a", "bid": 1' + b"0" * sys.get_int_max_str_digits() + b', "ctr": 0.5, "cont": 0}]}',
+        "{path} is not valid JSON: Exceeds the limit",
+    ),
     ("csv-too-few-columns", "csv", b"id,bid,ctr,cont\na,1,0.5\n", "{path}: line 2 has too few columns"),
     ("csv-too-many-columns", "csv", b"id,bid,ctr,cont\na,1,0.5,0.5,9\n", "{path}: line 2 has too many columns"),
     ("csv-not-utf8", "csv", b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
@@ -655,20 +668,24 @@ class TestDeterminism:
 
 def readme_examples():
     """The page file and the ``(argv, stdout)`` examples of README.md's
-    command-line section, ``bench`` left out for its ``elapsed_s``."""
+    command-line section, with its ``bench`` example apart for its
+    ``elapsed_s``."""
     section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = section.split("\n## Command line\n", 1)[1]
     console = section.split("```console\n", 1)[1].split("```", 1)[0]
     page = section.split("```json\n", 1)[1].split("```", 1)[0]
-    examples = []
+    examples, bench = [], None
     for chunk in console.split("$ markov-auction ")[1:]:
         command, _, stdout = chunk.partition("\n")
-        if not command.startswith("bench"):
-            examples.append(pytest.param(shlex.split(command), stdout.rstrip("\n") + "\n", id=command))
-    return page, examples
+        argv, stdout = shlex.split(command), stdout.rstrip("\n") + "\n"
+        if argv[0] == "bench":
+            bench = argv, stdout
+        else:
+            examples.append(pytest.param(argv, stdout, id=command))
+    return page, examples, bench
 
 
-README_PAGE, README_EXAMPLES = readme_examples()
+README_PAGE, README_EXAMPLES, README_BENCH = readme_examples()
 
 
 class TestReadmeExamples:
@@ -677,6 +694,15 @@ class TestReadmeExamples:
         (tmp_path / "page.json").write_text(README_PAGE, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (0, expected, "")
+
+    def test_bench_matches_readme_but_for_its_time(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        argv, expected = README_BENCH
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        got, want = json.loads(out), json.loads(expected)
+        del got["elapsed_s"], want["elapsed_s"]
+        assert got == want
 
     def test_every_command_but_bench_is_shown(self):
         shown = {argv[0] for argv in (p.values[0] for p in README_EXAMPLES)}

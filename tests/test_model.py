@@ -279,6 +279,16 @@ class TestPrunedForms:
         assert calls == [k]
         assert inst._pruned[0] == k
 
+    def test_ads_that_all_fit_in_the_slots_prune_once(self, monkeypatch, page):
+        calls = self.counted(monkeypatch)
+        k = page.n
+        solve(page, slots=k)
+        vcg_prices(page, slots=k)
+        compare_gsp(page, slots=k)
+        assert calls == [k]
+        assert page._pruned[0] == k
+        assert [form is page.ranking for form in page._pruned[1:]] == [True, True]
+
     def test_arrays_are_read_only(self):
         inst = random_instance(np.random.default_rng(53), 60, 3, min_n=40)
         form = _ranked(inst, 2)
