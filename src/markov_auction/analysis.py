@@ -145,20 +145,18 @@ def check_monotonicity(report: SweepReport, tol: float = 1e-12) -> MonotonicityV
     return MonotonicityVerdict(True)
 
 
-def compare_gsp(
-    inst: AuctionInstance, slots: int | None = None, solver: str = "dp"
-) -> ComparisonReport:
+def compare_gsp(inst: AuctionInstance, solver: str = "dp") -> ComparisonReport:
     """Value of the plain ecpm ranking against the true optimum.
 
     The GSP-style slate takes the top slots by ecpm (ties by id) in that
     order.  The ratio is 1.0 when both values are 0 (nothing to rank).
     """
-    m = effective_slots(inst, slots)
+    m = effective_slots(inst)
     order, ecpms, _ = inst.ranking
     top = order[ecpms >= np.partition(ecpms, -m)[-m]].tolist() if m else []
     by_ecpm = sorted((inst.bidders[i] for i in top), key=lambda b: (-b.ecpm, b.id))[:m]
     gsp = Assignment.from_bidders(by_ecpm)
-    best = solve(inst, slots, solver)
+    best = solve(inst, method=solver)
     ratio = gsp.efficiency / best.efficiency if best.efficiency > 0.0 else 1.0
     return ComparisonReport(
         slots=m,
@@ -170,9 +168,7 @@ def compare_gsp(
     )
 
 
-def check_dominance(
-    inst: AuctionInstance, slots: int | None = None, tol: float = 1e-12
-) -> DominanceVerdict:
+def check_dominance(inst: AuctionInstance, tol: float = 1e-12) -> DominanceVerdict:
     """No excluded ad that dominates an assigned one improves the optimum.
 
     Substituting an unassigned ad with ecpm and adjusted ecpm at least as
@@ -181,7 +177,7 @@ def check_dominance(
     optimum, so the instance must be small enough for
     ``brute_force_optimal``.
     """
-    best = brute_force_optimal(inst, slots)
+    best = brute_force_optimal(inst)
     members = [inst.bidder(bid_id) for bid_id in best.order]
     outside = [b for b in inst.bidders if b.id not in best.selected]
     for rank, inside in enumerate(members):

@@ -102,10 +102,13 @@ def _json_rows(path: str, fh: TextIO) -> tuple[Iterable[tuple[str, str, Any, Any
     text = fh.read()
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # json raises RecursionError on arrays or objects nested too deep,
-        # and a plain ValueError on an integer over Python's digit limit.
+    except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # RFC 8259 allows any depth and any number of digits; json raises
+        # RecursionError on arrays or objects nested too deep, and a plain
+        # ValueError on an integer over Python's digit limit.
+        raise InputError(f"{path}: JSON exceeds this reader's limits: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     rows = doc.get("bidders")
@@ -218,8 +221,6 @@ def _cmd_price(ns: argparse.Namespace, named: NamedInstance) -> None:
     try:
         slate, schedule = vcg_prices(named.instance, solver=ns.solver)
     except DegenerateClickProb as exc:
-        if exc.bidder_id is None:
-            raise
         raise DegenerateClickProb(f"winner {named.names[exc.bidder_id]!r} has zero click probability") from None
     _emit("assignment", slate, named, solver=ns.solver, slots=named.instance.slots)
     for winner in schedule.winners:

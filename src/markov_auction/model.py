@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappushpop
 from itertools import islice
 from operator import attrgetter, lt
 from typing import Iterable, Sequence
@@ -176,8 +177,8 @@ class AuctionInstance:
         for the life of the instance: 24 bytes per ad.
 
         Every solve, ``vcg_prices`` and ``compare_gsp`` on this instance
-        reads it, or the pruned pair of it kept in ``_pruned``.  The arrays
-        are read-only, since every caller shares them.  The attribute is no
+        reads it, or the pruned pair of it in ``_pruned``.  The arrays are
+        read-only, since every caller shares them.  The attribute is no
         dataclass field, so it takes no part in ``==``, ``hash``, ``repr``
         or the constructor, and copies made with ``with_bid``,
         ``dataclasses.replace``, ``copy`` or ``pickle`` start unranked.
@@ -187,15 +188,28 @@ class AuctionInstance:
             a.setflags(write=False)
         return arrays
 
-    _pruned = None
-    """``(k, k-form, (k+1)-form)``, the ranking pruned to the k- and the
-    (k+1)-skyband for the slot count ``k`` pruned last, or ``None``;
-    ``optimizer._ranked`` writes it in one store and reads it.  A form holds
-    24 bytes per survivor (position, ecpm and cont) in read-only arrays, or
-    is the ranking's own arrays when nothing is pruned.  Like ``ranking``,
-    the pair is no dataclass field: it takes no part in the instance's
-    value, and copies start with none.
-    """
+    @cached_property
+    def _pruned(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``(k-form, (k+1)-form)`` for ``k = min(slots, n)``: the ranking
+        pruned to the k- and the (k+1)-skyband, found in one ``_skyband``
+        pass on first use and kept, like ``ranking``, for the life of the
+        instance.  A solve reads the k-form and ``vcg_prices`` the
+        (k+1)-form.  A form holds 24 bytes per survivor (position, ecpm and
+        cont) in read-only arrays, or is the ranking's own arrays when
+        nothing is pruned.  Like ``ranking``, the pair takes no part in the
+        instance's value, and copies start with none; threads that share an
+        instance at worst prune it twice.
+        """
+        ranking = self.ranking
+        forms = []
+        for keep in _skyband(ranking[1], ranking[2], min(self.slots, self.n)):
+            form = ranking
+            if len(keep) < len(ranking[0]):
+                form = tuple(a[keep] for a in ranking)
+                for a in form:
+                    a.setflags(write=False)
+            forms.append(form)
+        return tuple(forms)
 
     def __getstate__(self) -> dict:
         """The fields alone, so a pickle or ``copy.copy`` carries no kept
@@ -298,6 +312,67 @@ def canonical_ranks(bidders: Sequence[Bidder]) -> tuple[np.ndarray, np.ndarray, 
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: bidders[i].id)
     return order, ecpm[order], cont[order]
+
+
+def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> tuple[list[int], list[int]]:
+    """Ranks of the ads that fewer than ``m`` others beat strictly on both
+    ecpm and adjusted ecpm, and of those that fewer than ``m + 1`` beat:
+    the m- and the (m+1)-skyband of canonically ordered lists or arrays.
+
+    Only ads of strictly higher adjusted ecpm can beat an ad, and those all
+    come before it, in earlier groups of equal adjusted ecpm.  A min-heap,
+    padded with ``-inf``, keeps the ``m + 1`` largest ecpms seen so far.
+    When a group starts, its least entry (``wide_floor``) is the (m+1)-th
+    largest ecpm of the earlier groups and the lesser of ``heap[1:3]``
+    (``floor``) the m-th, so an ad is beaten ``m + 1`` (or ``m``) times
+    exactly when ``wide_floor`` (or ``floor``) is above its ecpm.  Other
+    ads' ecpms are below every heap entry, so only (m+1)-band ads are pushed.
+
+    Before that loop, a vectorised bound drops most of the losers.  At
+    doubling checkpoints from ``4 * (m + 1)``, the (m+1)-th largest ecpm
+    before the checkpoint's group bounds ``wide_floor`` from below for
+    every ad up to the next checkpoint, and those below it are dropped.
+    The loop would drop them from both bands, and they never enter the
+    heap, so it keeps exactly the same ranks.
+
+    When no candidate's ecpm falls below its predecessor's, each is a
+    record, at least every earlier ecpm, which no floor exceeds, so every
+    candidate is in both bands and the loop does not run.
+    """
+    ecpms = np.asarray(ecpms, dtype=float)
+    adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
+    n, wide = len(ecpms), m + 1
+    candidate = np.empty(n, dtype=bool)
+    candidate.fill(True)
+    checkpoint = 4 * wide
+    while checkpoint < n:
+        # The checkpoint's group starts after the ads of strictly higher
+        # adjusted ecpm; the reversed view is in ascending order.
+        start = n - int(np.searchsorted(adjs[::-1], adjs[checkpoint], side="right"))
+        if start >= wide:
+            bound = np.partition(ecpms[:start], start - wide)[start - wide]
+            block = slice(checkpoint, 2 * checkpoint)
+            candidate[block] = ecpms[block] >= bound
+        checkpoint *= 2
+    ranks = candidate.nonzero()[0]
+    cand_e = ecpms[ranks]
+    if not (cand_e[1:] < cand_e[:-1]).any():
+        ranks = ranks.tolist()
+        return ranks, ranks
+    heap = [-math.inf] * wide
+    keep, keep_wide = [], []
+    group_adj = None
+    for t, e, adj in zip(ranks.tolist(), cand_e.tolist(), adjs[ranks].tolist()):
+        if adj != group_adj:
+            group_adj = adj
+            wide_floor, floor = heap[0], min(heap[1:3])
+        if wide_floor > e:
+            continue
+        keep_wide.append(t)
+        if floor <= e:
+            keep.append(t)
+        heappushpop(heap, e)
+    return keep, keep_wide
 
 
 def canonical_order(bidders: Iterable[Bidder]) -> list[Bidder]:

@@ -1,6 +1,6 @@
 """Exact slate optimizers: exhaustive, dynamic-programming, and incremental.
 
-All three maximize the expected revenue of a slate of at most ``j`` ads
+All three maximize the expected revenue of a slate of at most ``slots`` ads
 drawn from an auction instance.  Because any chosen set extracts its best
 value in canonical (adjusted-ecpm) order, search happens over sets:
 
@@ -26,11 +26,13 @@ that only rounding makes can still part the slates.
 
 Each solver starts from the instance's canonical ranking
 (``AuctionInstance.ranking``: one numpy index sort, computed on the
-instance's first solve and reused by every later one) pruned
-(``_ranked``) to the k-skyband, the ads that fewer than ``k`` others beat
-strictly on both ecpm and adjusted ecpm.  One pass finds the k- and the
-(k+1)-skyband, and the instance keeps that pair for the slot count pruned
-last, 24 bytes per survivor, so a priced auction prunes once.
+instance's first solve and reused by every later one) pruned to the
+k-skyband, the ads that fewer than ``k`` others beat strictly on both
+ecpm and adjusted ecpm, for the instance's own ``k = min(slots, n)``.
+One pass (``model._skyband``) finds the k- and the (k+1)-skyband, and
+the instance keeps that pair (``AuctionInstance._pruned``), 24 bytes per
+survivor, so a priced auction prunes once.  To solve at another slot
+count, solve a copy: ``solve(dataclasses.replace(inst, slots=j))``.
 An ad beaten ``k`` times has a beater outside any slate of ``k`` ads, and
 swapping it for that beater strictly raises the value whenever the ad can
 be clicked, so no optimal slate holds it.  The result, the ranked form, is
@@ -47,7 +49,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappushpop
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -102,105 +103,9 @@ class OptChain:
         return self.solutions[-1] if self.solutions else Assignment((), 0.0, ())
 
 
-def effective_slots(inst: AuctionInstance, slots: int | None = None) -> int:
-    """Number of slots actually fillable: ``min(requested, n)``."""
-    k = inst.slots if slots is None else slots
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"slots must be an integer >= 1, got {k!r}")
-    return min(k, inst.n)
-
-
-# ---------------------------------------------------------------------------
-# Ranking and k-skyband prune
-# ---------------------------------------------------------------------------
-
-
-def _skyband(ecpms: Sequence[float], conts: Sequence[float], m: int) -> tuple[list[int], list[int]]:
-    """Ranks of the ads that fewer than ``m`` others beat strictly on both
-    ecpm and adjusted ecpm, and of those that fewer than ``m + 1`` beat:
-    the m- and the (m+1)-skyband of canonically ordered lists or arrays.
-
-    Only ads of strictly higher adjusted ecpm can beat an ad, and those all
-    come before it, in earlier groups of equal adjusted ecpm.  A min-heap,
-    padded with ``-inf``, keeps the ``m + 1`` largest ecpms seen so far.
-    When a group starts, its least entry (``wide_floor``) is the (m+1)-th
-    largest ecpm of the earlier groups and the lesser of ``heap[1:3]``
-    (``floor``) the m-th, so an ad is beaten ``m + 1`` (or ``m``) times
-    exactly when ``wide_floor`` (or ``floor``) is above its ecpm.  Other
-    ads' ecpms are below every heap entry, so only (m+1)-band ads are pushed.
-
-    Before that loop, a vectorised bound drops most of the losers.  At
-    doubling checkpoints from ``4 * (m + 1)``, the (m+1)-th largest ecpm
-    before the checkpoint's group bounds ``wide_floor`` from below for
-    every ad up to the next checkpoint, and those below it are dropped.
-    The loop would drop them from both bands, and they never enter the
-    heap, so it keeps exactly the same ranks.
-
-    When no candidate's ecpm falls below its predecessor's, each is a
-    record, at least every earlier ecpm, which no floor exceeds, so every
-    candidate is in both bands and the loop does not run.
-    """
-    ecpms = np.asarray(ecpms, dtype=float)
-    adjs = ecpms / (1.0 - np.asarray(conts, dtype=float))
-    n, wide = len(ecpms), m + 1
-    candidate = np.empty(n, dtype=bool)
-    candidate.fill(True)
-    checkpoint = 4 * wide
-    while checkpoint < n:
-        # The checkpoint's group starts after the ads of strictly higher
-        # adjusted ecpm; the reversed view is in ascending order.
-        start = n - int(np.searchsorted(adjs[::-1], adjs[checkpoint], side="right"))
-        if start >= wide:
-            bound = np.partition(ecpms[:start], start - wide)[start - wide]
-            block = slice(checkpoint, 2 * checkpoint)
-            candidate[block] = ecpms[block] >= bound
-        checkpoint *= 2
-    ranks = candidate.nonzero()[0]
-    cand_e = ecpms[ranks]
-    if not (cand_e[1:] < cand_e[:-1]).any():
-        ranks = ranks.tolist()
-        return ranks, ranks
-    heap = [-math.inf] * wide
-    keep, keep_wide = [], []
-    group_adj = None
-    for t, e, adj in zip(ranks.tolist(), cand_e.tolist(), adjs[ranks].tolist()):
-        if adj != group_adj:
-            group_adj = adj
-            wide_floor, floor = heap[0], min(heap[1:3])
-        if wide_floor > e:
-            continue
-        keep_wide.append(t)
-        if floor <= e:
-            keep.append(t)
-        heappushpop(heap, e)
-    return keep, keep_wide
-
-
-def _ranked(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ranked form of an instance for ``m`` slots: its kept canonical
-    ranking, pruned to the m-skyband.
-
-    The survivors depend only on the instance and ``m``.  One ``_skyband``
-    pass at ``k`` gives the k- and the (k+1)-skyband, the forms a solve and
-    ``vcg_prices`` read, and the instance keeps them as one pair
-    (``AuctionInstance._pruned``), so calls with ``m`` equal to ``k`` or
-    ``k + 1`` prune nothing; any other ``m`` prunes again and replaces the
-    pair.  The arrays are read-only, and with nothing pruned they are the
-    ranking's own."""
-    ranking = inst.ranking
-    kept = inst._pruned
-    if kept is None or not 0 <= m - kept[0] <= 1:
-        kept = (m,)
-        for keep in _skyband(ranking[1], ranking[2], m):
-            form = ranking
-            if len(keep) < len(ranking[0]):
-                form = tuple(a[keep] for a in ranking)
-                for a in form:
-                    a.setflags(write=False)
-            kept += (form,)
-        # One store, so an instance shared by threads at worst prunes twice.
-        object.__setattr__(inst, "_pruned", kept)
-    return kept[1 + m - kept[0]]
+def effective_slots(inst: AuctionInstance) -> int:
+    """Number of slots actually fillable: ``min(slots, n)``."""
+    return min(inst.slots, inst.n)
 
 
 def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -> Assignment:
@@ -213,14 +118,14 @@ def _slate(bidders: Sequence[Bidder], order: np.ndarray, ranks: Sequence[int]) -
 # ---------------------------------------------------------------------------
 
 
-def brute_force_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
-    """Exact maximizer over every subset of at most ``slots`` bidders;
+def brute_force_optimal(inst: AuctionInstance) -> Assignment:
+    """Exact maximizer over every subset of at most ``inst.slots`` bidders;
     equal-value optima resolve by the module's tie rule.
 
     Raises:
-        SizeLimitExceeded: when n > 22 or the requested slot count > 20.
+        SizeLimitExceeded: when n > 22 or the instance's slot count > 20.
     """
-    return _slate(inst.bidders, *_run(_brute, inst, slots))
+    return _slate(inst.bidders, *_run(_brute, inst))
 
 
 def _brute(ecpms: np.ndarray, conts: np.ndarray, m: int) -> tuple[int, ...]:
@@ -244,7 +149,7 @@ def _brute(ecpms: np.ndarray, conts: np.ndarray, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
+def dp_optimal(inst: AuctionInstance) -> Assignment:
     """Optimal slate by a take/skip recursion over the canonical order.
 
     With bidders ranked by adjusted ecpm, the best value from rank ``i``
@@ -257,13 +162,13 @@ def dp_optimal(inst: AuctionInstance, slots: int | None = None) -> Assignment:
     be clicked.  The recursion runs over the k-skyband survivors, so the
     cost is an O(n log n) numpy sort once per instance, an O(n) prune
     bound plus an O(c log slots) exact prune over the ``c`` ads it leaves
-    (skipped when all are ecpm records) once per slot count, then one
+    (skipped when all are ecpm records) once per instance, then one
     numpy pass over the survivors per open-slot count, so
     O(survivors * slots) numpy work.  The passes keep two value columns
     and a bool mask of where "take" wins; the backtrack reads one mask row
     per slot.
     """
-    return _slate(inst.bidders, *_run(_BODIES["dp"], inst, slots))
+    return _slate(inst.bidders, *_run(_BODIES["dp"], inst))
 
 
 def _dp(ecpms: np.ndarray, conts: np.ndarray, m: int) -> list[int]:
@@ -322,7 +227,7 @@ def _prefix_tables(
     return cont_prefix, eff_prefix, eff_suffix
 
 
-def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
+def fast_optimal(inst: AuctionInstance) -> OptChain:
     """Chain of nested optimal slates, grown one best insertion at a time.
 
     Every optimal slate for ``i`` slots extends to one for ``i + 1`` slots,
@@ -352,7 +257,7 @@ def fast_optimal(inst: AuctionInstance, slots: int | None = None) -> OptChain:
     rescan rule in ``_fast``).  The picks are the same either way.  The
     same chain, with only its last slate built, is ``solve(method="fast")``.
     """
-    order, picks = _run(_BODIES["fast"], inst, slots)
+    order, picks = _run(_BODIES["fast"], inst)
     return OptChain(tuple(_slate(inst.bidders, order, picks[:i]) for i in range(1, len(picks) + 1)))
 
 
@@ -526,25 +431,22 @@ def marginal_best_insert(
 _BODIES: dict[str, Callable[[np.ndarray, np.ndarray, int], Sequence[int]]] = {"brute": _brute, "dp": _dp, "fast": _fast}
 
 
-def _run(body: Callable, inst: AuctionInstance, slots: int | None) -> tuple[np.ndarray, Sequence[int]]:
-    """The ranked form's ``order`` and the ranks a solver body picks from it
-    for the effective slot count, after the slot count's check and then
-    exhaustive search's size check."""
-    m = effective_slots(inst, slots)
-    requested = inst.slots if slots is None else slots
-    if body is _brute and (inst.n > _BRUTE_MAX_BIDDERS or requested > _BRUTE_MAX_SLOTS):
+def _run(body: Callable, inst: AuctionInstance) -> tuple[np.ndarray, Sequence[int]]:
+    """The k-form's ``order`` and the ranks a solver body picks from it for
+    the effective slot count ``k``, after exhaustive search's size check."""
+    if body is _brute and (inst.n > _BRUTE_MAX_BIDDERS or inst.slots > _BRUTE_MAX_SLOTS):
         raise SizeLimitExceeded(
             f"exhaustive search capped at {_BRUTE_MAX_BIDDERS} bidders / "
-            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={requested}"
+            f"{_BRUTE_MAX_SLOTS} slots, got n={inst.n}, slots={inst.slots}"
         )
-    order, ecpms, conts = _ranked(inst, m)
-    return order, body(ecpms, conts, m)
+    order, ecpms, conts = inst._pruned[0]
+    return order, body(ecpms, conts, effective_slots(inst))
 
 
-def solve(inst: AuctionInstance, slots: int | None = None, method: str = "dp") -> Assignment:
+def solve(inst: AuctionInstance, method: str = "dp") -> Assignment:
     """Run the named solver ("brute", "dp", or "fast") on an instance."""
     try:
         body = _BODIES[method]
     except KeyError:
         raise ValueError(f"unknown solver {method!r}; expected one of {sorted(_BODIES)}")
-    return _slate(inst.bidders, *_run(body, inst, slots))
+    return _slate(inst.bidders, *_run(body, inst))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Assignment, AuctionInstance
-from .optimizer import _ranked, effective_slots, solve
+from .optimizer import effective_slots, solve
 
 __all__ = ["DegenerateClickProb", "WinnerPrice", "PriceSchedule", "vcg_prices"]
 
@@ -61,9 +61,7 @@ class PriceSchedule:
         return 0.0 if winner is None else winner.expected_payment
 
 
-def vcg_prices(
-    inst: AuctionInstance, slots: int | None = None, solver: str = "dp"
-) -> tuple[Assignment, PriceSchedule]:
+def vcg_prices(inst: AuctionInstance, solver: str = "dp") -> tuple[Assignment, PriceSchedule]:
     """Winning slate plus each winner's externality payment.
 
     Per winner ``i`` with gross value ``v_i``:
@@ -72,14 +70,15 @@ def vcg_prices(
 
     ``solver`` only chooses who picks the slate (a plain ``solve``); the
     winners are priced one way, so a slate is charged the same whichever
-    solver picked it.  The re-solves run on the instance's ranking pruned
-    to the (slots + 1)-skyband, which the slate solve's one prune keeps
-    beside the slots-skyband it reads: an ad ``slots + 1`` others beat on
-    both ecpm and adjusted ecpm is still beaten ``slots`` times without
-    any one winner.  Removing the winner at rank ``p`` leaves the take/skip
-    value rows under ``p`` as they are, so one walk up the ranks prices
-    every winner.  At rank ``i`` it computes only the cells the top value
-    reads, those with at least ``slots - i`` open slots.  The top value is
+    solver picked it.  With ``k = min(slots, n)``, the re-solves run on
+    the instance's ranking pruned to the (k+1)-skyband, which the instance
+    keeps beside the k-skyband the slate solve reads
+    (``AuctionInstance._pruned``): an ad ``k + 1`` others beat on both
+    ecpm and adjusted ecpm is still beaten ``k`` times without any one
+    winner.  Removing the winner at rank ``p`` leaves the take/skip value
+    rows under ``p`` as they are, so one walk up the ranks prices every
+    winner.  At rank ``i`` it computes only the cells the top value reads,
+    those with at least ``k - i`` open slots.  The top value is
     the largest Horner sum over the slates without the winner, bit-equal
     to an exhaustive re-solve's.  Rounding can put the difference an ulp
     outside VCG's range, so the payment is clamped to ``[0, v_i]`` and the
@@ -91,11 +90,11 @@ def vcg_prices(
         SizeLimitExceeded: for ``solver="brute"`` on an instance too large
             for exhaustive search, judged before the prune.
     """
-    slate = solve(inst, slots, solver)
+    slate = solve(inst, method=solver)
     if not slate.order:
         return slate, PriceSchedule(())
-    m = effective_slots(inst, slots)
-    order, ecpms, conts = _ranked(inst, m + 1)
+    m = effective_slots(inst)
+    order, ecpms, conts = inst._pruned[1]
     bidders, e, q = inst.bidders, ecpms.tolist(), conts.tolist()
     # rows[0] holds every ad folded so far.  At a winner's rank the walk
     # copies it before the fold, so each later row, one per winner passed,

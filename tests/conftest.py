@@ -3,6 +3,8 @@ and the tie-heavy instance shapes the solver references run on."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,15 @@ def quantized_instance(rng, slots):
     conts = rng.integers(0, 100, n) / 100.0
     bidders = tuple(Bidder(i, float(bids[i]), float(ctrs[i]), float(conts[i])) for i in range(n))
     return AuctionInstance(bidders, slots)
+
+
+def ranked_form(inst: AuctionInstance, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranked form a solve reads at ``m`` slots: the instance's own
+    k-form when ``m`` is its ``k = min(slots, n)``, else that of a copy
+    with ``m`` slots."""
+    if m != min(inst.slots, inst.n):
+        inst = dataclasses.replace(inst, slots=m)
+    return inst._pruned[0]
 
 
 @pytest.fixture

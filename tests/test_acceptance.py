@@ -6,6 +6,7 @@ to see the lines for passing tests).  Tolerances appear inline; orders
 and hull-query results are compared exactly.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -65,7 +66,7 @@ def test_01_worked_page(page):
         two = solve(page, method=method)
         assert two.order == (1, 2)
         assert two.efficiency == pytest.approx(2.50, abs=1e-9)
-        assert solve(page, slots=3, method=method).order == (3, 1, 2)
+        assert solve(dataclasses.replace(page, slots=3), method=method).order == (3, 1, 2)
     assert time.perf_counter() - started < 1.0
 
 
@@ -102,7 +103,7 @@ def test_03_chain_against_dp():
             assert prev < sol.selected
             prev = sol.selected
             assert sol.efficiency == pytest.approx(
-                dp_optimal(inst, size).efficiency, abs=1e-9
+                dp_optimal(dataclasses.replace(inst, slots=size)).efficiency, abs=1e-9
             )
         assert chain.final.efficiency == pytest.approx(
             dp_optimal(inst).efficiency, abs=1e-9

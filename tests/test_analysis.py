@@ -1,5 +1,7 @@
 """Unit tests for the diagnostics: sweeps, monotonicity, GSP, dominance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestCompareGsp:
         assert report.efficiency_ratio == pytest.approx(0.88, abs=1e-9)
 
     def test_worked_three_slots(self, page):
-        report = compare_gsp(page, slots=3)
+        report = compare_gsp(dataclasses.replace(page, slots=3))
         assert report.gsp_order == (2, 1, 3)
         assert report.gsp_efficiency == pytest.approx(2.3275, abs=1e-9)
         assert report.optimal_efficiency == pytest.approx(2.85, abs=1e-9)
@@ -149,8 +151,8 @@ class TestCheckDominance:
         assert substituted > 0
 
     def test_inflated_optimum_fails_naming_both_bidders(self, monkeypatch):
-        def inflated(inst, slots=None):
-            best = brute_force_optimal(inst, slots)
+        def inflated(inst):
+            best = brute_force_optimal(inst)
             return Assignment(best.order, best.efficiency + 1.0, best.click_probs)
 
         monkeypatch.setattr(analysis, "brute_force_optimal", inflated)

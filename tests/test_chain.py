@@ -23,9 +23,9 @@ gaps send to the deeper one.
 import numpy as np
 import pytest
 
-from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance
+from conftest import columns_instance, quantized_instance, random_bidders, ranked_form, tie_grid_instance
 from markov_auction import AuctionInstance, Bidder, optimizer
-from markov_auction.optimizer import _fast, _prefix_tables, _ranked
+from markov_auction.optimizer import _fast, _prefix_tables
 
 
 def per_rank_chain(ecpms, conts, m):
@@ -66,7 +66,7 @@ def per_rank_chain(ecpms, conts, m):
 def chain_picks(inst, m):
     """The picks of ``_fast`` on the instance's ranked form for ``m`` slots,
     after asserting that the reference picks the same."""
-    _, ecpms, conts = _ranked(inst, m)
+    _, ecpms, conts = ranked_form(inst, m)
     picks = _fast(ecpms, conts, m)
     assert picks == per_rank_chain(ecpms, conts, m)
     return picks
@@ -89,7 +89,7 @@ class TestChainMatchesPerRankScan:
         # survive the prune, so every step of the chain runs.
         rng = np.random.default_rng(74 + slots)
         inst = AuctionInstance(random_bidders(rng, n, cont_high=0.99), slots)
-        assert len(_ranked(inst, slots)[1]) > 2 * slots
+        assert len(ranked_form(inst, slots)[1]) > 2 * slots
         assert len(chain_picks(inst, slots)) == slots
 
     def test_read_only_inputs(self):
@@ -97,7 +97,7 @@ class TestChainMatchesPerRankScan:
         # ranking arrays; it must never write into them.
         rng = np.random.default_rng(75)
         inst = AuctionInstance(random_bidders(rng, 40), 40)
-        _, ecpms, conts = _ranked(inst, 40)
+        _, ecpms, conts = ranked_form(inst, 40)
         assert ecpms is inst.ranking[1] and not (ecpms.flags.writeable or conts.flags.writeable)
         chain_picks(inst, 40)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from markov_auction import Bidder, DegenerateClickProb, evaluate
+from markov_auction import Bidder, evaluate
 from markov_auction import analysis, cli
 from markov_auction.cli import SEED_ENV_VAR, load_instance, main
 
@@ -513,20 +513,20 @@ BAD_FILES = [
         "json-nested-too-deep",
         "json",
         b'{"slots": 1, "bidders": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-        "{path} is not valid JSON: maximum recursion depth exceeded",
+        "{path}: JSON exceeds this reader's limits: maximum recursion depth exceeded",
     ),
     (
         # One digit over Python's limit for converting a string to an int.
         "json-id-over-digit-limit",
         "json",
         b'{"slots": 1, "bidders": [{"id": 1' + b"0" * sys.get_int_max_str_digits() + b', "bid": 1, "ctr": 0.5, "cont": 0}]}',
-        "{path} is not valid JSON: Exceeds the limit",
+        "{path}: JSON exceeds this reader's limits: Exceeds the limit",
     ),
     (
         "json-bid-over-digit-limit",
         "json",
         b'{"slots": 1, "bidders": [{"id": "a", "bid": 1' + b"0" * sys.get_int_max_str_digits() + b', "ctr": 0.5, "cont": 0}]}',
-        "{path} is not valid JSON: Exceeds the limit",
+        "{path}: JSON exceeds this reader's limits: Exceeds the limit",
     ),
     ("csv-too-few-columns", "csv", b"id,bid,ctr,cont\na,1,0.5\n", "{path}: line 2 has too few columns"),
     ("csv-too-many-columns", "csv", b"id,bid,ctr,cont\na,1,0.5,0.5,9\n", "{path}: line 2 has too many columns"),
@@ -640,12 +640,12 @@ class TestSizeLimit:
 class TestLibraryErrors:
     def test_value_error_exits_2(self, capsys, monkeypatch, page_file):
         def fail(*args, **kwargs):
-            raise DegenerateClickProb("winner 0 has zero click probability")
+            raise ValueError("the library refused the instance")
 
         monkeypatch.setattr(cli, "vcg_prices", fail)
         code, out, err = run(capsys, "price", page_file)
         assert code == 2 and out == ""
-        assert err == "error: winner 0 has zero click probability\n"
+        assert err == "error: the library refused the instance\n"
 
 
 class TestDeterminism:

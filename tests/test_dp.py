@@ -13,9 +13,16 @@ both must pick the same ranks and the tests assert ``==`` on the picks.
 import numpy as np
 import pytest
 
-from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance, with_permuted_ids
+from conftest import (
+    columns_instance,
+    quantized_instance,
+    random_bidders,
+    ranked_form,
+    tie_grid_instance,
+    with_permuted_ids,
+)
 from markov_auction import AuctionInstance, Bidder
-from markov_auction.optimizer import _dp, _ranked
+from markov_auction.optimizer import _dp
 
 
 def per_cell_dp(ecpms, conts, m):
@@ -47,7 +54,7 @@ def per_cell_dp(ecpms, conts, m):
 def dp_picks(inst, m):
     """The picks of ``_dp`` on the instance's ranked form for ``m`` slots,
     after asserting that the reference picks the same."""
-    _, ecpms, conts = _ranked(inst, m)
+    _, ecpms, conts = ranked_form(inst, m)
     picks = _dp(ecpms, conts, m)
     assert picks == per_cell_dp(ecpms, conts, m)
     return picks
@@ -84,7 +91,7 @@ class TestColumnsMatchPerCellRows:
         bidders = [Bidder(0, 2.0, 0.5, 0.5), Bidder(1, 3.0, 0.5, 0.0), Bidder(2, 1.0, 0.5, 0.5)]
         bidders += [Bidder(3, 0.8, 0.5, 0.2), Bidder(4, 0.1, 0.5, 0.0)]
         inst = AuctionInstance(tuple(bidders), 3)
-        assert len(_ranked(inst, 3)[1]) == 3
+        assert len(ranked_form(inst, 3)[1]) == 3
         assert dp_picks(inst, 3) == [0, 1]
 
     def test_zero_bid_last_rank_is_skipped(self):
@@ -110,13 +117,13 @@ class TestColumnsMatchPerCellRows:
         conts = rng.uniform(0.0, 0.99, 20000)
         ctrs = 1.0 - rng.random(20000)
         inst = columns_instance((1.01 - conts * conts) / ctrs, ctrs, conts, 50)
-        assert len(_ranked(inst, 50)[1]) == 20000
+        assert len(ranked_form(inst, 50)[1]) == 20000
         assert len(dp_picks(inst, 50)) == 50
 
     def test_random_draws(self):
         rng = np.random.default_rng(84)
         inst = AuctionInstance(random_bidders(rng, 20000, cont_high=0.99), 50)
-        assert len(_ranked(inst, 50)[1]) > 2 * 50
+        assert len(ranked_form(inst, 50)[1]) > 2 * 50
         assert len(dp_picks(inst, 50)) == 50
 
     def test_read_only_inputs(self):
@@ -124,6 +131,6 @@ class TestColumnsMatchPerCellRows:
         # ranking arrays; it must never write into them.
         rng = np.random.default_rng(85)
         inst = AuctionInstance(random_bidders(rng, 40), 40)
-        _, ecpms, conts = _ranked(inst, 40)
+        _, ecpms, conts = ranked_form(inst, 40)
         assert ecpms is inst.ranking[1] and not (ecpms.flags.writeable or conts.flags.writeable)
         dp_picks(inst, 40)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_bidders, random_instance
+from conftest import random_bidders, random_instance, ranked_form
 from markov_auction import (
     Assignment,
     AuctionInstance,
@@ -24,9 +24,8 @@ from markov_auction import (
     solve,
     vcg_prices,
 )
-from markov_auction import optimizer
+from markov_auction import model
 from markov_auction.model import canonical_ranks
-from markov_auction.optimizer import _ranked
 
 
 class TestBidderValidation:
@@ -251,20 +250,20 @@ class TestRankingCache:
 
 class TestPrunedForms:
     """``AuctionInstance._pruned`` keeps the ranking pruned to the k- and the
-    (k+1)-skyband, from one prune, for the slot count ``k`` pruned last,
-    without becoming part of the instance's value."""
+    (k+1)-skyband, from one prune, for the instance's own slot count
+    ``k = min(slots, n)``, without becoming part of the instance's value."""
 
     @staticmethod
     def counted(monkeypatch):
-        """Slot counts ``optimizer._skyband`` is called with from now on."""
+        """Slot counts ``model._skyband`` is called with from now on."""
         calls = []
-        skyband = optimizer._skyband
+        skyband = model._skyband
 
         def counting(ecpms, conts, m):
             calls.append(m)
             return skyband(ecpms, conts, m)
 
-        monkeypatch.setattr(optimizer, "_skyband", counting)
+        monkeypatch.setattr(model, "_skyband", counting)
         return calls
 
     def test_an_auction_prunes_once_per_slot_count(self, monkeypatch):
@@ -277,21 +276,22 @@ class TestPrunedForms:
         solve(inst, method="fast")
         vcg_prices(inst, solver="fast")
         assert calls == [k]
-        assert inst._pruned[0] == k
+        fresh = AuctionInstance(inst.bidders, k)._pruned
+        assert [[a.tolist() for a in form] for form in inst._pruned] == [[a.tolist() for a in form] for form in fresh]
 
     def test_ads_that_all_fit_in_the_slots_prune_once(self, monkeypatch, page):
         calls = self.counted(monkeypatch)
         k = page.n
-        solve(page, slots=k)
-        vcg_prices(page, slots=k)
-        compare_gsp(page, slots=k)
+        full = dataclasses.replace(page, slots=k)
+        solve(full)
+        vcg_prices(full)
+        compare_gsp(full)
         assert calls == [k]
-        assert page._pruned[0] == k
-        assert [form is page.ranking for form in page._pruned[1:]] == [True, True]
+        assert [form is full.ranking for form in full._pruned] == [True, True]
 
     def test_arrays_are_read_only(self):
         inst = random_instance(np.random.default_rng(53), 60, 3, min_n=40)
-        form = _ranked(inst, 2)
+        form = ranked_form(inst, 2)
         assert len(form[0]) < inst.n
         for a in form:
             with pytest.raises(ValueError):
@@ -301,9 +301,11 @@ class TestPrunedForms:
         # No ad beats another on both scores, so every ad survives.
         bidders = tuple(Bidder(i, 1.01 - q * q, 1.0, q) for i, q in enumerate(np.linspace(0.0, 0.9, 20).tolist()))
         inst = AuctionInstance(bidders, 2)
-        for got, kept in zip(_ranked(inst, 2), inst.ranking):
+        for got, kept in zip(inst._pruned[0], inst.ranking):
             assert got is kept
-        assert _ranked(inst, 20) is inst.ranking
+        assert inst._pruned[1] is inst.ranking
+        full = dataclasses.replace(inst, slots=20)
+        assert full._pruned[0] is full.ranking
 
     def test_takes_no_part_in_value(self):
         pruned = random_instance(np.random.default_rng(54), 30, 4, min_n=20)
@@ -316,7 +318,7 @@ class TestPrunedForms:
         assert "_pruned" not in plain.__dict__
 
     def test_copies_start_with_no_forms(self, page):
-        vcg_prices(page, slots=1)
+        vcg_prices(page)
         assert page._pruned
         assert "_pruned" not in page.with_bid(3, 9.0).__dict__
         assert "_pruned" not in dataclasses.replace(page).__dict__
@@ -333,43 +335,35 @@ class TestPrunedForms:
         assert len(pickle.dumps(inst)) == len(unsolved)
         assert vcg_prices(back) == (slate, schedule)
         assert back._pruned
-        for a in (*back.ranking, *(a for form in back._pruned[1:] for a in form)):
+        for a in (*back.ranking, *(a for form in back._pruned for a in form)):
             assert not a.flags.writeable
         copied = copy.copy(inst)
         assert "ranking" not in copied.__dict__ and "_pruned" not in copied.__dict__
-        assert copied._pruned is None
-
-    def test_a_third_slot_count_evicts_the_oldest(self, monkeypatch):
-        inst = random_instance(np.random.default_rng(55), 60, 1, min_n=40)
-        calls = self.counted(monkeypatch)
-        for m in (1, 2, 1, 3, 4, 2, 1):
-            _ranked(inst, m)
-        # 1 prunes the pair for 1 and 2; 3 and 4 lie outside it, so 3 replaces
-        # it with the pair for 3 and 4, then 2 and 1 replace it in turn.
-        assert calls == [1, 3, 2, 1]
-        assert inst._pruned[0] == 1
+        kept = [a for form in inst._pruned for a in form]
+        assert not any(a is b for form in copied._pruned for a in form for b in kept)
 
     def test_threads_sharing_an_instance(self):
-        # More threads than cores, switching often, each cycling through
-        # three slot counts on one instance: every form read must be the one
-        # a fresh instance prunes, and no thread may raise.
+        # More threads than cores, switching often, each reading the pruned
+        # pair of the same fresh instances in turn, so threads race to each
+        # one's first use: every pair read must be the one an instance of
+        # its own prunes, and no thread may raise.
         inst = random_instance(np.random.default_rng(56), 80, 1, min_n=60)
-        expected = {m: [a.tolist() for a in _ranked(AuctionInstance(inst.bidders, 1), m)] for m in (1, 2, 3)}
+        expected = {m: [[a.tolist() for a in f] for f in AuctionInstance(inst.bidders, m)._pruned] for m in (1, 2, 3)}
+        shared = [AuctionInstance(inst.bidders, i % 3 + 1) for i in range(300)]
         wrong, errors = [], []
 
-        def work(start):
+        def work():
             try:
-                for i in range(1500):
-                    m = (start + i) % 3 + 1
-                    if [a.tolist() for a in _ranked(inst, m)] != expected[m]:
-                        wrong.append(m)
+                for one in shared:
+                    if [[a.tolist() for a in form] for form in one._pruned] != expected[one.slots]:
+                        wrong.append(one.slots)
             except Exception as exc:  # reported below, with the thread's failure
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
                 t.start()
             for t in threads:

@@ -12,20 +12,28 @@ and pricing are held to memory bounds.  An instance keeps its ranking
 once computed; calls on a ranked instance must match the same calls each
 made on a fresh equal one, and the GSP slate read off the ranking must
 match a keyed sort of every bidder.  One prune finds the k- and the
-(k+1)-skyband, and an instance keeps that pair for the slot count pruned
-last; solving and pricing at every slot count up and back down on one
-instance must match a fresh one.
+(k+1)-skyband, and an instance keeps that pair for its own slot count;
+solving and pricing copies of one solved instance at every slot count up
+and back down must match fresh instances.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import columns_instance, quantized_instance, random_bidders, tie_grid_instance, with_permuted_ids
+from conftest import (
+    columns_instance,
+    quantized_instance,
+    random_bidders,
+    ranked_form,
+    tie_grid_instance,
+    with_permuted_ids,
+)
 from markov_auction import Assignment, AuctionInstance, Bidder, canonical_order, compare_gsp, solve, vcg_prices
-from markov_auction import optimizer
-from markov_auction.optimizer import _ranked, _skyband
+from markov_auction import model, optimizer
+from markov_auction.model import _skyband
 
 
 def scores(bidders):
@@ -167,7 +175,7 @@ def assert_prune_is_invisible(monkeypatch, inst, method):
     pruned = outcome(inst, method)
     # A fresh instance, since ``inst`` keeps the pair it pruned.
     with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "_skyband", keep_every_ad)
+        patch.setattr(model, "_skyband", keep_every_ad)
         unpruned = outcome(AuctionInstance(inst.bidders, inst.slots), method)
     assert pruned == unpruned
 
@@ -188,13 +196,13 @@ class TestPruneIsInvisible:
 
 
 def assert_ranked_is_reference(inst, slots_list):
-    """``_ranked`` is a keyed sort into canonical order plus the quadratic
-    skyband count, with bit-identical scores."""
+    """The ranked form at each slot count is a keyed sort into canonical
+    order plus the quadratic skyband count, with bit-identical scores."""
     canon = sorted(inst.bidders, key=lambda b: (-b.adjusted_ecpm, b.id))
     ecpms, conts = [b.ecpm for b in canon], [b.cont for b in canon]
     counts = beaten_counts(ecpms, conts)
     for m in slots_list:
-        order, got_ecpms, got_conts = _ranked(inst, m)
+        order, got_ecpms, got_conts = ranked_form(inst, m)
         keep = beaten_fewer_than(ecpms, conts, m, counts) if inst.n > m else range(inst.n)
         assert [inst.bidders[i].id for i in order] == [canon[t].id for t in keep]
         assert got_ecpms.tolist() == [ecpms[t] for t in keep]
@@ -225,7 +233,7 @@ class TestRanked:
         expected = [2**63, 2**63 + 1, 2**70]
         assert [b.id for b in canonical_order(bidders)] == expected
         inst = AuctionInstance(tuple(bidders), 1)
-        order, _, _ = _ranked(inst, 1)
+        order, _, _ = ranked_form(inst, 1)
         assert [inst.bidders[i].id for i in order] == expected
 
     def test_negative_zero_bid_ties_with_zero(self):
@@ -291,8 +299,8 @@ class TestResolvesOnRankedSurvivors:
 
 def winner_ranks(inst):
     """The dp winners' ranks among the ads its re-solves run on (the
-    (slots + 1)-skyband), and how many ads those are."""
-    order, _, _ = _ranked(inst, min(inst.slots, inst.n) + 1)
+    (k+1)-skyband), and how many ads those are."""
+    order, _, _ = inst._pruned[1]
     ids = [inst.bidders[i].id for i in order.tolist()]
     return [ids.index(bidder_id) for bidder_id in solve(inst).order], len(ids)
 
@@ -303,7 +311,7 @@ def full_row_prices(inst):
     ``vcg_prices``."""
     slate = solve(inst)
     m = min(inst.slots, inst.n)
-    order, ecpms, conts = _ranked(inst, m + 1)
+    order, ecpms, conts = inst._pruned[1]
     m = min(m, len(order) - 1)
     ids = [inst.bidders[i].id for i in order.tolist()]
     prices = []
@@ -420,7 +428,7 @@ class TestDpBlocks:
         # rank would take over 1.5 MB at 20 slots, and a float64 mask eight
         # times the bool one.
         inst = skyline_3000(slots)
-        _, ecpms, conts = _ranked(inst, slots)
+        _, ecpms, conts = inst._pruned[0]
         s = len(ecpms)
         assert s == 3000
         tracemalloc.start()
@@ -440,16 +448,18 @@ class TestGspFromRanking:
             inst = with_permuted_ids(rng, tie_grid_instance(rng))
             for slots in range(1, 5):
                 by_ecpm = sorted(inst.bidders, key=lambda b: (-b.ecpm, b.id))[:slots]
-                report = compare_gsp(inst, slots)
+                report = compare_gsp(dataclasses.replace(inst, slots=slots))
                 assert report.gsp_order == tuple(b.id for b in by_ecpm)
                 assert report.gsp_efficiency == Assignment.from_bidders(by_ecpm).efficiency
 
 
 def every_call(instance, methods):
-    """Every solve at every slot count, then pricing and the GSP comparison,
-    each on ``instance()``."""
+    """Every solve at every slot count, each on a copy of ``instance()``
+    with that count, then the solves, pricing and the GSP comparison, each
+    on ``instance()``."""
     k = instance().slots
-    out = [solve(instance(), j, method) for method in methods for j in range(1, k + 1)]
+    out = [solve(dataclasses.replace(instance(), slots=j), method=m) for m in methods for j in range(1, k + 1)]
+    out += [solve(instance(), method=method) for method in methods]
     out += [vcg_prices(instance(), solver=method) for method in methods]
     out.append(compare_gsp(instance()))
     return out
@@ -478,19 +488,22 @@ class TestRankingIsInvisible:
 
 def by_slot_count(instance, methods):
     """Every solve and ``vcg_prices`` call at slot counts 1..k, then k..1,
-    each on ``instance()``."""
+    each on a copy of ``instance()`` with that count."""
     k = instance().slots
     out = []
     for j in [*range(1, k + 1), *range(k, 0, -1)]:
         for method in methods:
-            slate, schedule = vcg_prices(instance(), j, method)
-            out += [solve(instance(), j, method), slate, schedule]
+            copy = dataclasses.replace(instance(), slots=j)
+            slate, schedule = vcg_prices(copy, solver=method)
+            out += [solve(copy, method=method), slate, schedule]
     return out
 
 
 def assert_kept_forms_are_invisible(inst, methods):
-    """Calls on one instance, which keeps the pair of the slot count pruned
-    last as it goes, give what each call gives on a fresh equal instance."""
+    """Copies of one priced instance, which keeps the pair of its own slot
+    count, give what each call gives on a fresh equal instance: a copy at
+    another slot count carries no pair of the original's."""
+    vcg_prices(inst)
     assert by_slot_count(lambda: inst, methods) == by_slot_count(
         lambda: AuctionInstance(inst.bidders, inst.slots), methods
     )
